@@ -6,7 +6,8 @@ collects every result before the next round (``round_frames`` clients that
 each wait for their reply); at the end it reads every source's verdict.
 The open loop sends at a fixed rate and times each frame from when it was
 due to when its result was collected, polling for results while it waits
-for the next due time.
+for the next due time.  Each loop runs in slices that can be resumed, so
+the benchmark can alternate the two on two live targets.
 
 Every submission is logged in a :class:`Phase` (pool entry, flush points,
 verdicts, the results that came back) so the output check can replay it.
@@ -21,7 +22,7 @@ import time
 import traceback
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import EngineResult, InferenceEngine, MajorityVerdict
 from repro.core.service import StreamingService
@@ -151,6 +152,8 @@ class Phase:
     wrong_sources: int = 0
     error: Optional[str] = None
     wall_s: float = 0.0
+    #: Duration of every closed-loop round.
+    round_s: array = field(default_factory=lambda: array("d"))
 
     @property
     def sent(self) -> int:
@@ -235,35 +238,38 @@ def _fail(phase: Phase) -> None:
     print(f"{phase.kind} phase stopped by an error:\n{phase.error}", file=sys.stderr)
 
 
-def closed_loop(
-    target: Target, traffic: Traffic, workload: Workload, seconds: float, tracer=None
-) -> Phase:
+def closed_slice(
+    phase: Phase, target: Target, traffic: Traffic, workload: Workload, seconds: float,
+    tracer=None,
+) -> None:
     """Rounds of ``round_frames`` submissions, each ended by a flush that
-    waits for every result, until ``seconds`` have passed; then every
-    source's verdict is read."""
-    phase = traffic.start("closed", target, None)
-    sources = sorted(set(traffic.pool.sources))
+    waits for every result, until ``seconds`` have passed (and the phase has
+    sent at least ``MIN_CLOSED_FRAMES``)."""
+    if phase.error is not None:
+        return
     clock = time.perf_counter
     started = clock()
     deadline = started + seconds
     try:
         while phase.sent < MIN_CLOSED_FRAMES or clock() < deadline:
+            round_started = clock()
             for _ in range(workload.round_frames):
                 phase.absorb(traffic.send(phase, target, tracer), clock())
             phase.flush(target)
-        phase.read_verdicts(target, sources)
+            phase.round_s.append(clock() - round_started)
     except Exception:  # noqa: BLE001 - reported; unreturned frames count as failed
         _fail(phase)
-    phase.wall_s = clock() - started
-    return phase
+    phase.wall_s += clock() - started
 
 
-def open_loop(
-    target: Target, traffic: Traffic, workload: Workload, seconds: float, tracer=None
-) -> Phase:
-    """``open_rate_fps * seconds`` frames sent on a fixed schedule."""
-    phase = traffic.start("open", target, workload.open_max_latency_frames)
-    sources = sorted(set(traffic.pool.sources))
+def open_slice(
+    phase: Phase, target: Target, traffic: Traffic, workload: Workload, seconds: float,
+    tracer=None,
+) -> None:
+    """``open_rate_fps * seconds`` frames sent on a fixed schedule, then a
+    flush, so no frame waits for the next slice."""
+    if phase.error is not None:
+        return
     rate = workload.open_rate_fps
     clock = time.perf_counter
     started = clock() + POLL_S
@@ -287,8 +293,65 @@ def open_loop(
             phase.absorb(traffic.send(phase, target, tracer), clock())
             phase.absorb(target.collect(), clock())
         phase.flush(target)
-        phase.read_verdicts(target, sources)
     except Exception:  # noqa: BLE001 - reported; unreturned frames count as failed
         _fail(phase)
-    phase.wall_s = clock() - started
+    phase.wall_s += clock() - started
+
+
+def finish(phase: Phase, target: Target, traffic: Traffic) -> None:
+    """Read every source's verdict; the phase's time includes it."""
+    if phase.error is not None:
+        return
+    started = time.perf_counter()
+    try:
+        phase.read_verdicts(target, sorted(set(traffic.pool.sources)))
+    except Exception:  # noqa: BLE001 - reported; unreturned frames count as failed
+        _fail(phase)
+    phase.wall_s += time.perf_counter() - started
+
+
+def closed_loop(
+    target: Target, traffic: Traffic, workload: Workload, seconds: float, tracer=None
+) -> Phase:
+    """One closed-loop slice of ``seconds``, then every source's verdict."""
+    phase = traffic.start("closed", target, None)
+    closed_slice(phase, target, traffic, workload, seconds, tracer)
+    finish(phase, target, traffic)
     return phase
+
+
+def open_loop(
+    target: Target, traffic: Traffic, workload: Workload, seconds: float, tracer=None
+) -> Phase:
+    """One open-loop slice of ``seconds``, then every source's verdict."""
+    phase = traffic.start("open", target, workload.open_max_latency_frames)
+    open_slice(phase, target, traffic, workload, seconds, tracer)
+    finish(phase, target, traffic)
+    return phase
+
+
+def interleaved(
+    closed_target: Target,
+    open_target: Target,
+    traffic: Traffic,
+    workload: Workload,
+    seconds: float,
+    slices: int,
+    open_share: float,
+) -> Tuple[Phase, Phase]:
+    """A closed-loop and an open-loop phase on two live targets, alternating
+    in ``slices`` slices each over ``seconds``.
+
+    The host's speed drifts over seconds; alternating short slices lets both
+    phases sample the whole run instead of one half each, so a slow stretch
+    moves both a little rather than one a lot.
+    """
+    closed = traffic.start("closed", closed_target, None)
+    opened = traffic.start("open", open_target, workload.open_max_latency_frames)
+    for _ in range(slices):
+        closed_slice(closed, closed_target, traffic, workload,
+                     seconds * (1 - open_share) / slices)
+        open_slice(opened, open_target, traffic, workload, seconds * open_share / slices)
+    finish(closed, closed_target, traffic)
+    finish(opened, open_target, traffic)
+    return closed, opened

@@ -6,9 +6,10 @@ pool that ``run.py`` prepared.  Prints one ``metric`` line per metric and,
 as its last line, the result JSON.  Running in its own process keeps the
 model fit out of ``peak_rss_mb``.
 
-* ``--trace 0``: setup (``SETUP_REPEATS`` times), a closed-loop phase for
-  ``1 - OPEN_SHARE`` of ``--seconds`` and an open-loop phase for the rest;
-  prints the end-to-end metrics.
+* ``--trace 0``: setup (``SETUP_REPEATS`` times), then a closed-loop phase
+  (``1 - OPEN_SHARE`` of ``--seconds``) and an open-loop phase (the rest) on
+  two live targets, alternating in ``SLICES`` slices each; prints the
+  end-to-end metrics.
 * ``--trace 1``: an untraced and a traced closed-loop phase (half of the
   closed-loop time each) and a traced open-loop phase; prints the
   per-layer metrics and writes the spans to ``.perfbench_work/traces``.
@@ -35,17 +36,16 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from check import CheckReport, check_phases  # noqa: E402
-from loadgen import Phase, Target, Traffic, closed_loop, open_loop  # noqa: E402
+from loadgen import Phase, Target, Traffic, closed_loop, interleaved, open_loop  # noqa: E402
 from spans import PER_LAYER_UNITS, Tracer, layer_metrics  # noqa: E402
 from traffic import load_classifier, load_pool  # noqa: E402
-from workloads import OPEN_SHARE, SETUP_REPEATS, WORKLOADS, Workload  # noqa: E402
+from workloads import OPEN_SHARE, SETUP_REPEATS, SLICES, WORKLOADS, Workload  # noqa: E402
 
 WORK_DIR = ROOT / ".perfbench_work"
 
 #: Every end-to-end metric, with its unit.
 END_TO_END_UNITS: Dict[str, str] = {
-    "frames_per_s": "frames/s",
-    "latency_p50_ms": "ms",
+    "frames_per_s_p10": "frames/s",
     "latency_p95_ms": "ms",
     "success_rate": "ratio",
     "agreement": "ratio",
@@ -129,6 +129,11 @@ def closed_fps(phase: Phase) -> float:
     return phase.sent / phase.wall_s if phase.error is None else 0.0
 
 
+def round_fps(phase: Phase, workload: Workload) -> List[float]:
+    """Each closed-loop round's throughput: ``round_frames`` over its time."""
+    return [workload.round_frames / t for t in phase.round_s] if phase.error is None else []
+
+
 def percentile_ms(values: List[float], q: float) -> float:
     return float(np.percentile(values, q)) * 1e3 if values else float("nan")
 
@@ -137,23 +142,25 @@ def end_to_end(
     workload: Workload, cache: Path, pool, seconds: float
 ) -> Tuple[Dict[str, float], List[Phase], dict]:
     traffic = Traffic(pool)
-    target, setups = timed_setups(workload, cache, pool)
-    settle()
+    closed_target, setups = timed_setups(workload, cache, pool)
     try:
-        closed = closed_loop(target, traffic, workload, seconds * (1 - OPEN_SHARE))
+        open_target = ready(
+            workload, cache, pool, max_latency_frames=workload.open_max_latency_frames
+        )
+        try:
+            closed, opened = interleaved(
+                closed_target, open_target, traffic, workload, seconds, SLICES, OPEN_SHARE
+            )
+        finally:
+            open_target.close()
     finally:
-        target.close()
-    target = ready(workload, cache, pool, max_latency_frames=workload.open_max_latency_frames)
-    try:
-        opened = open_loop(target, traffic, workload, seconds * OPEN_SHARE)
-    finally:
-        target.close()
+        closed_target.close()
     rss = peak_rss_mb()
     latencies = opened.latencies_s()
     windows = latency_windows(latencies)
+    rounds = round_fps(closed, workload)
     metrics = {
-        "frames_per_s": closed_fps(closed),
-        "latency_p50_ms": statistics.median(percentile_ms(w, 50) for w in windows),
+        "frames_per_s_p10": float(np.percentile(rounds, 10)) if rounds else 0.0,
         "latency_p95_ms": statistics.median(percentile_ms(w, 95) for w in windows),
         "setup_s": statistics.median(setups),
         "peak_rss_mb": rss,
@@ -161,10 +168,13 @@ def end_to_end(
     details = {
         "setup_s_all": setups,
         "closed_frames": closed.sent,
+        "frames_per_s": closed_fps(closed),
+        "round_fps": rounds,
         "open_frames": opened.sent,
         "open_latency_samples": len(latencies),
         "latency_windows": len(windows),
         "latency_window_p95_ms": [percentile_ms(w, 95) for w in windows],
+        "latency_p50_ms": statistics.median(percentile_ms(w, 50) for w in windows),
         "latency_pooled_p99_ms": percentile_ms(latencies, 99),
         "loadgen_lag_p99_ms": percentile_ms(opened.lag_s, 99),
     }
@@ -294,7 +304,12 @@ def main(argv=None) -> int:
     print(f"check {'passed' if correct else 'FAILED'}: error_rate = {error_rate:.6g} ratio, "
           f"agreement = {report.agreement:.6g} ratio")
     if not args.trace:
-        print(f"open loop: {details['open_latency_samples']} frames, pooled p99 = "
+        rounds = details["round_fps"]
+        print(f"closed loop: {details['closed_frames']} frames in {len(rounds)} rounds, "
+              f"{details['frames_per_s']:.6g} frames/s overall, round median "
+              f"{statistics.median(rounds) if rounds else 0.0:.6g} frames/s")
+        print(f"open loop: {details['open_latency_samples']} frames, windowed p50 = "
+              f"{details['latency_p50_ms']:.6g} ms, pooled p99 = "
               f"{details['latency_pooled_p99_ms']:.6g} ms")
     for name, unit in units.items():
         print(f"metric {name} = {metrics[name]:.6g} {unit}")

@@ -26,6 +26,8 @@ NUM_CLASSES = 3
 SETUP_REPEATS = 3
 #: Share of ``--seconds`` given to the open-loop phase (the rest is closed).
 OPEN_SHARE = 0.5
+#: Slices each phase is cut into; the phases alternate slice by slice.
+SLICES = 6
 #: Frames the closed loop sends at least, whatever ``--seconds`` says.
 MIN_CLOSED_FRAMES = 3 * BATCH_SIZE
 #: Lowest share of frames a ``fast`` workload must classify like the
@@ -81,7 +83,7 @@ WORKLOADS: Dict[str, Workload] = {
             sources=64,
             payload="frames",
             pool_frames=192,
-            round_frames=128,
+            round_frames=64,
             open_rate_fps=40.0,
             open_max_latency_frames=1,
         ),
