@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.separability import linear_probe_accuracy
 from repro.core.backends import BACKEND_NAMES
-from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
+from repro.core.classifier import ClassifierConfig, DeepCsiClassifier, load_metadata
 from repro.core.engine import PRECISION_NAMES, UNKNOWN_MODULE_ID, InferenceEngine
 from repro.core.lifecycle import DriftConfig
 from repro.core.openset import (
@@ -169,9 +169,11 @@ def _load_classifier(
 ) -> DeepCsiClassifier:
     """Restore the stored model for the geometry of ``samples``."""
     feature = _feature_config(samples, args.stride, args.stream)
-    num_classes = max(s.module_id for s in samples) + 1
+    num_classes = args.num_classes
+    if num_classes is None:
+        num_classes = load_metadata(args.model_dir)["num_classes"]
     config = ClassifierConfig(
-        num_classes=max(num_classes, args.num_classes),
+        num_classes=num_classes,
         feature=feature,
         model=PAPER_MODEL_CONFIG if args.paper_model else FAST_MODEL_CONFIG,
         seed=args.seed,
@@ -538,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser("evaluate", help="evaluate a stored model")
     _add_dataset_arguments(evaluate)
     evaluate.add_argument("model_dir")
-    evaluate.add_argument("--num-classes", type=int, default=10)
+    evaluate.add_argument("--num-classes", type=int, default=None)
     evaluate.add_argument("--paper-model", action="store_true")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
@@ -548,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(authenticate)
     authenticate.add_argument("model_dir")
-    authenticate.add_argument("--num-classes", type=int, default=10)
+    authenticate.add_argument("--num-classes", type=int, default=None)
     authenticate.add_argument("--paper-model", action="store_true")
     authenticate.add_argument(
         "--batch-size",
@@ -604,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(serve)
     serve.add_argument("model_dir")
-    serve.add_argument("--num-classes", type=int, default=10)
+    serve.add_argument("--num-classes", type=int, default=None)
     serve.add_argument("--paper-model", action="store_true")
     serve.add_argument(
         "--workers",

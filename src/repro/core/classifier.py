@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +52,11 @@ class ClassifierError(ValueError):
 def _jsonify(value):
     """Round-trip a config dict through JSON types (tuples become lists)."""
     return json.loads(json.dumps(value))
+
+
+def load_metadata(directory: Union[str, Path]) -> Dict[str, Any]:
+    """Metadata (``num_classes``, configs) of a model stored with ``save``."""
+    return json.loads((Path(directory) / "metadata.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -400,7 +405,7 @@ class DeepCsiClassifier:
         :class:`ClassifierConfig` that produced the stored weights.
         """
         directory = Path(directory)
-        metadata = json.loads((directory / "metadata.json").read_text())
+        metadata = load_metadata(directory)
         if metadata["num_classes"] != self.config.num_classes:
             raise ClassifierError(
                 "stored model was trained with a different number of classes"

@@ -17,12 +17,13 @@ capture path: angles -> bytes on air -> parsed bytes -> reconstructed ``V~``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.feedback.givens import FeedbackAngles, angle_counts
+from repro.feedback.givens import FeedbackAngles
 from repro.feedback.quantization import (
     QuantizationConfig,
     QuantizedAngles,
@@ -70,6 +71,8 @@ class VhtMimoControl:
             raise FrameError("num_columns must be in 1..8")
         if not 2 <= self.num_rows <= 8:
             raise FrameError("num_rows must be in 2..8")
+        if self.num_columns > self.num_rows:
+            raise FrameError("num_columns must not exceed num_rows")
         if self.bandwidth_mhz not in _BANDWIDTH_CODES:
             raise FrameError(f"unsupported bandwidth {self.bandwidth_mhz} MHz")
         if self.codebook not in (0, 1):
@@ -107,55 +110,72 @@ class FeedbackFrame:
     payload: bytes
 
 
-class _BitWriter:
-    """Append integers as fixed-width little-endian bit fields."""
-
-    def __init__(self) -> None:
-        self._bits: list = []
-
-    def write(self, value: int, width: int) -> None:
-        if value < 0 or value >= (1 << width):
-            raise FrameError(f"value {value} does not fit in {width} bits")
-        for bit in range(width):
-            self._bits.append((value >> bit) & 1)
-
-    def to_bytes(self) -> bytes:
-        data = bytearray()
-        for start in range(0, len(self._bits), 8):
-            byte = 0
-            for offset, bit in enumerate(self._bits[start : start + 8]):
-                byte |= bit << offset
-            data.append(byte)
-        return bytes(data)
+#: Header: magic (8 bits), N_SS - 1 (3), M - 1 (3), bandwidth code (2),
+#: codebook (1), number of sub-carriers (12) and reserved padding (3).
+_HEADER_BYTES = 4
+_SUBCARRIER_FIELD_BITS = 12
 
 
-class _BitReader:
-    """Read fixed-width little-endian bit fields from a byte string."""
+@dataclass(frozen=True)
+class _ReportLayout:
+    """Bit layout of one sub-carrier of the angle report.
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._cursor = 0
+    Fields follow the standard transmission order; ``phi_fields[j]`` and
+    ``psi_fields[j]`` are the field indices of angle column ``j``.  Per bit,
+    ``shifts`` is the bit position inside its field and ``weights`` is
+    ``2 ** shifts``.
+    """
 
-    def read(self, width: int) -> int:
-        value = 0
-        for bit in range(width):
-            index = self._cursor + bit
-            byte_index, bit_index = divmod(index, 8)
-            if byte_index >= len(self._data):
-                raise FrameError("frame truncated while reading angle report")
-            value |= ((self._data[byte_index] >> bit_index) & 1) << bit
-        self._cursor += width
-        return value
+    bits_per_subcarrier: int
+    widths: np.ndarray
+    starts: np.ndarray
+    phi_fields: np.ndarray
+    psi_fields: np.ndarray
+    field_of_bit: np.ndarray
+    shifts: np.ndarray
+    weights: np.ndarray
 
 
-def pack_feedback_frame(
-    quantized: QuantizedAngles, control: VhtMimoControl
-) -> bytes:
+# The 3-bit/3-bit/1-bit header fields bound the keys to at most 112, so
+# hostile frames cannot grow the cache and nothing is ever evicted.
+@functools.lru_cache(maxsize=128)
+def _report_layout(num_rows: int, num_columns: int, b_phi: int, b_psi: int) -> _ReportLayout:
+    widths, phi_fields, psi_fields = [], [], []
+    for i in range(min(num_columns, num_rows - 1)):
+        for fields, width in ((phi_fields, b_phi), (psi_fields, b_psi)):
+            fields.extend(range(len(widths), len(widths) + num_rows - 1 - i))
+            widths.extend([width] * (num_rows - 1 - i))
+    width_array = np.array(widths, dtype=np.intp)
+    field_of_bit = np.repeat(np.arange(len(widths)), width_array)
+    starts = np.concatenate(([0], np.cumsum(width_array)[:-1]))
+    shifts = np.arange(field_of_bit.size) - starts[field_of_bit]
+    layout = _ReportLayout(
+        bits_per_subcarrier=int(width_array.sum()),
+        widths=width_array,
+        starts=starts,
+        phi_fields=np.array(phi_fields, dtype=np.intp),
+        psi_fields=np.array(psi_fields, dtype=np.intp),
+        field_of_bit=field_of_bit,
+        shifts=shifts,
+        weights=(1 << shifts).astype(np.int16),
+    )
+    for value in vars(layout).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return layout
+
+
+def _layout_for(control: VhtMimoControl) -> _ReportLayout:
+    config = control.quantization
+    return _report_layout(control.num_rows, control.num_columns, config.b_phi, config.b_psi)
+
+
+def pack_feedback_frame(quantized: QuantizedAngles, control: VhtMimoControl) -> bytes:
     """Serialise a quantised feedback into frame bytes.
 
-    The layout is: one magic byte, the control field (5 bytes), then the
+    The layout is: one magic byte, the control field (3 bytes), then the
     angle report: for every sub-carrier, the angles in standard transmission
-    order, ``b_phi``/``b_psi`` bits each.
+    order, ``b_phi``/``b_psi`` bits each, little-endian bit-first.
     """
     if control.num_rows != quantized.num_tx:
         raise FrameError("control.num_rows must match the quantised feedback")
@@ -164,81 +184,64 @@ def pack_feedback_frame(
     if control.num_subcarriers != quantized.num_subcarriers:
         raise FrameError("control.num_subcarriers must match the quantised feedback")
     expected_cfg = control.quantization
-    if (expected_cfg.b_phi, expected_cfg.b_psi) != (
-        quantized.config.b_phi,
-        quantized.config.b_psi,
-    ):
+    if (expected_cfg.b_phi, expected_cfg.b_psi) != (quantized.config.b_phi, quantized.config.b_psi):
         raise FrameError("codebook bit inconsistent with the quantisation config")
-
-    writer = _BitWriter()
-    writer.write(_FRAME_MAGIC, 8)
-    writer.write(control.num_columns - 1, 3)
-    writer.write(control.num_rows - 1, 3)
-    writer.write(_BANDWIDTH_CODES[control.bandwidth_mhz], 2)
-    writer.write(control.codebook, 1)
-    writer.write(control.num_subcarriers, 12)
-    writer.write(0, 3)  # reserved padding to a byte boundary
-
-    n_phi, n_psi = angle_counts(control.num_rows, control.num_columns)
-    b_phi, b_psi = quantized.config.b_phi, quantized.config.b_psi
-    for k in range(quantized.num_subcarriers):
-        phi_cursor = 0
-        psi_cursor = 0
-        limit = min(control.num_columns, control.num_rows - 1)
-        for i in range(limit):
-            for _ in range(control.num_rows - 1 - i):
-                writer.write(int(quantized.q_phi[k, phi_cursor]), b_phi)
-                phi_cursor += 1
-            for _ in range(control.num_rows - 1 - i):
-                writer.write(int(quantized.q_psi[k, psi_cursor]), b_psi)
-                psi_cursor += 1
-        if phi_cursor != n_phi or psi_cursor != n_psi:  # pragma: no cover
-            raise FrameError("internal error: angle count mismatch while packing")
-    return writer.to_bytes()
+    num_subcarriers = control.num_subcarriers
+    if num_subcarriers >= 1 << _SUBCARRIER_FIELD_BITS:
+        raise FrameError(f"value {num_subcarriers} does not fit in {_SUBCARRIER_FIELD_BITS} bits")
+    header = (
+        _FRAME_MAGIC
+        | (control.num_columns - 1) << 8
+        | (control.num_rows - 1) << 11
+        | _BANDWIDTH_CODES[control.bandwidth_mhz] << 14
+        | control.codebook << 16
+        | num_subcarriers << 17
+    )
+    layout = _layout_for(control)
+    fields = np.empty((num_subcarriers, layout.widths.size), dtype=np.int64)
+    fields[:, layout.phi_fields] = quantized.q_phi
+    fields[:, layout.psi_fields] = quantized.q_psi
+    out_of_range = (fields < 0) | (fields >= 1 << layout.widths)
+    if out_of_range.any():
+        k, field = np.argwhere(out_of_range)[0]
+        raise FrameError(
+            f"value {fields[k, field]} does not fit in {layout.widths[field]} bits"
+        )
+    bits = (fields[:, layout.field_of_bit] >> layout.shifts) & 1
+    report = np.packbits(bits.astype(np.uint8).ravel(), bitorder="little")
+    return header.to_bytes(_HEADER_BYTES, "little") + report.tobytes()
 
 
 def parse_feedback_frame(payload: bytes) -> Tuple[VhtMimoControl, QuantizedAngles]:
-    """Parse frame bytes back into the control field and angle codewords."""
-    reader = _BitReader(payload)
-    magic = reader.read(8)
-    if magic != _FRAME_MAGIC:
+    """Parse frame bytes back into the control field and ``int16`` codewords."""
+    if len(payload) < _HEADER_BYTES:
+        raise FrameError("frame truncated in header")
+    header = int.from_bytes(payload[:_HEADER_BYTES], "little")
+    if header & 0xFF != _FRAME_MAGIC:
         raise FrameError("not a compressed beamforming frame (bad magic)")
-    num_columns = reader.read(3) + 1
-    num_rows = reader.read(3) + 1
-    bandwidth_mhz = _BANDWIDTH_FROM_CODE[reader.read(2)]
-    codebook = reader.read(1)
-    num_subcarriers = reader.read(12)
-    reader.read(3)  # reserved
-
     control = VhtMimoControl(
-        num_columns=num_columns,
-        num_rows=num_rows,
-        bandwidth_mhz=bandwidth_mhz,
-        codebook=codebook,
-        num_subcarriers=num_subcarriers,
+        num_columns=(header >> 8 & 0b111) + 1,
+        num_rows=(header >> 11 & 0b111) + 1,
+        bandwidth_mhz=_BANDWIDTH_FROM_CODE[header >> 14 & 0b11],
+        codebook=header >> 16 & 1,
+        num_subcarriers=header >> 17 & (1 << _SUBCARRIER_FIELD_BITS) - 1,
     )
-    config = control.quantization
-    n_phi, n_psi = angle_counts(num_rows, num_columns)
-    q_phi = np.zeros((num_subcarriers, n_phi), dtype=int)
-    q_psi = np.zeros((num_subcarriers, n_psi), dtype=int)
-    for k in range(num_subcarriers):
-        phi_cursor = 0
-        psi_cursor = 0
-        limit = min(num_columns, num_rows - 1)
-        for i in range(limit):
-            for _ in range(num_rows - 1 - i):
-                q_phi[k, phi_cursor] = reader.read(config.b_phi)
-                phi_cursor += 1
-            for _ in range(num_rows - 1 - i):
-                q_psi[k, psi_cursor] = reader.read(config.b_psi)
-                psi_cursor += 1
-
+    layout = _layout_for(control)
+    report_bits = control.num_subcarriers * layout.bits_per_subcarrier
+    if len(payload) * 8 < _HEADER_BYTES * 8 + report_bits:
+        raise FrameError("frame truncated while reading angle report")
+    bits = np.unpackbits(
+        np.frombuffer(payload, dtype=np.uint8, offset=_HEADER_BYTES),
+        count=report_bits,
+        bitorder="little",
+    ).reshape(control.num_subcarriers, layout.bits_per_subcarrier)
+    fields = np.add.reduceat(bits * layout.weights, layout.starts, axis=1, dtype=np.int16)
     quantized = QuantizedAngles(
-        q_phi=q_phi,
-        q_psi=q_psi,
-        config=config,
-        num_tx=num_rows,
-        num_streams=num_columns,
+        q_phi=fields[:, layout.phi_fields],
+        q_psi=fields[:, layout.psi_fields],
+        config=control.quantization,
+        num_tx=control.num_rows,
+        num_streams=control.num_columns,
     )
     return control, quantized
 
@@ -251,11 +254,5 @@ def frame_to_angles(payload: bytes) -> FeedbackAngles:
 
 def frame_size_bytes(control: VhtMimoControl) -> int:
     """Size of a packed frame for the given control configuration [bytes]."""
-    n_phi, n_psi = angle_counts(control.num_rows, control.num_columns)
-    config = control.quantization
-    header_bits = 8 + 3 + 3 + 2 + 1 + 12 + 3
-    report_bits = control.num_subcarriers * (
-        n_phi * config.b_phi + n_psi * config.b_psi
-    )
-    total_bits = header_bits + report_bits
-    return (total_bits + 7) // 8
+    report_bits = control.num_subcarriers * _layout_for(control).bits_per_subcarrier
+    return _HEADER_BYTES + (report_bits + 7) // 8

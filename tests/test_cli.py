@@ -228,6 +228,23 @@ class TestProbeTrainEvaluate:
         assert "worker 1:" in captured
         assert "verdict module" in captured
 
+    def test_stored_model_supplies_num_classes(self, generated_dataset, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        code = main(
+            ["train", str(generated_dataset), str(model_dir), "--epochs", "1", "--batch-size", "16"]
+        )
+        assert code == 0
+        capsys.readouterr()
+
+        code = main(["authenticate", str(generated_dataset), str(model_dir)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verdict module" in captured.out
+
+        code = main(["evaluate", str(generated_dataset), str(model_dir), "--num-classes", "4"])
+        assert code == 2
+        assert "different number of classes" in capsys.readouterr().err
+
     def test_authenticate_compute_backends_and_profile(
         self, generated_dataset, tmp_path, capsys
     ):
