@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -48,7 +49,7 @@ from repro.core.openset import (
     calibrate_threshold_far,
 )
 from repro.core.service import ServiceError, StreamingService, resolve_num_workers
-from repro.core.model import FAST_MODEL_CONFIG, PAPER_MODEL_CONFIG
+from repro.core.model import FAST_MODEL_CONFIG, PAPER_MODEL_CONFIG, DeepCsiModelConfig
 from repro.datasets.containers import FeedbackDataset, FeedbackSample
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.generator import (
@@ -164,18 +165,39 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stored_config(config_type, stored: dict):
+    """Rebuild a config dataclass from its ``metadata.json`` form."""
+    return config_type(
+        **{key: tuple(value) if isinstance(value, list) else value for key, value in stored.items()}
+    )
+
+
 def _load_classifier(
     args: argparse.Namespace, samples: Sequence[FeedbackSample]
 ) -> DeepCsiClassifier:
-    """Restore the stored model for the geometry of ``samples``."""
-    feature = _feature_config(samples, args.stride, args.stream)
-    num_classes = args.num_classes
-    if num_classes is None:
-        num_classes = load_metadata(args.model_dir)["num_classes"]
+    """Restore the stored model for the geometry of ``samples``.
+
+    ``--num-classes``, ``--stride``, ``--stream`` and ``--paper-model`` default
+    to the stored model's configuration; a given one that differs from it
+    fails the load.
+    """
+    metadata = load_metadata(args.model_dir)
+    feature = _stored_config(FeatureConfig, metadata["feature"])
+    if args.stride is not None:
+        positions = strided_subcarriers(samples[0].num_subcarriers, args.stride)
+        feature = replace(feature, subcarrier_positions=positions)
+    if args.stream is not None:
+        feature = replace(feature, stream_indices=(args.stream,))
     config = ClassifierConfig(
-        num_classes=num_classes,
+        num_classes=(
+            metadata["num_classes"] if args.num_classes is None else args.num_classes
+        ),
         feature=feature,
-        model=PAPER_MODEL_CONFIG if args.paper_model else FAST_MODEL_CONFIG,
+        model=(
+            PAPER_MODEL_CONFIG
+            if args.paper_model
+            else _stored_config(DeepCsiModelConfig, metadata["model"])
+        ),
         seed=args.seed,
     )
     return DeepCsiClassifier(config).load(args.model_dir)
@@ -501,6 +523,18 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_stored_model_arguments(parser: argparse.ArgumentParser) -> None:
+    """The stored model's directory, plus the options that must match it.
+
+    Left out, ``--num-classes``, ``--stride``, ``--stream`` and
+    ``--paper-model`` are read from the model's ``metadata.json``.
+    """
+    parser.add_argument("model_dir", help="directory of a model stored by train")
+    parser.add_argument("--num-classes", type=int, default=None)
+    parser.add_argument("--paper-model", action="store_true", default=None)
+    parser.set_defaults(stride=None, stream=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for the tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -539,9 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = subparsers.add_parser("evaluate", help="evaluate a stored model")
     _add_dataset_arguments(evaluate)
-    evaluate.add_argument("model_dir")
-    evaluate.add_argument("--num-classes", type=int, default=None)
-    evaluate.add_argument("--paper-model", action="store_true")
+    _add_stored_model_arguments(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     authenticate = subparsers.add_parser(
@@ -549,9 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream a dataset split through the batched inference engine",
     )
     _add_dataset_arguments(authenticate)
-    authenticate.add_argument("model_dir")
-    authenticate.add_argument("--num-classes", type=int, default=None)
-    authenticate.add_argument("--paper-model", action="store_true")
+    _add_stored_model_arguments(authenticate)
     authenticate.add_argument(
         "--batch-size",
         type=int,
@@ -605,9 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the sharded multi-worker streaming service on a split",
     )
     _add_dataset_arguments(serve)
-    serve.add_argument("model_dir")
-    serve.add_argument("--num-classes", type=int, default=None)
-    serve.add_argument("--paper-model", action="store_true")
+    _add_stored_model_arguments(serve)
     serve.add_argument(
         "--workers",
         type=int,

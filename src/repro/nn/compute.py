@@ -12,8 +12,8 @@ hot path can trade numerics for throughput without touching the layer code:
   Every intermediate tensor (padded inputs, im2col patch matrices, GEMM
   outputs, activation maps) lives in a grow-only per-shape *arena* that is
   reused across batches, so steady-state inference performs zero large
-  allocations; SELU/sigmoid are computed with fused in-place kernels that
-  avoid the ``np.where``/``np.exp`` temporaries of the training path.
+  allocations.  Pooling and SELU share the fp64 layers' kernels
+  (``strided_max_pool``, ``fused_selu``), writing into arena buffers.
 * ``int8`` (:class:`Int8Backend`) -- post-training quantisation, the
   thematic twin of the paper's Fig. 13 result that the fingerprints survive
   aggressive quantisation of the beamforming feedback itself.  ``Conv2D``
@@ -55,12 +55,12 @@ from repro.nn.layers import (
     Flatten,
     MaxPool2D,
     Relu,
-    SELU_ALPHA,
-    SELU_SCALE,
     Selu,
     Sigmoid,
     Softmax,
     _pad_same,
+    fused_selu,
+    strided_max_pool,
 )
 
 #: Quantised integer range of the int8 backend (symmetric, zero-point free).
@@ -221,24 +221,6 @@ def _conv_weight2d(weight: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Fused element-wise kernels
 # --------------------------------------------------------------------------- #
-def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """SELU into ``out`` using one preallocated ``scratch``, no temporaries.
-
-    Identical (up to dtype rounding) to
-    ``SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1))``:
-    ``exp(min(x, 0)) - 1`` is exactly the negative branch for ``x <= 0`` and
-    exactly zero for ``x > 0``, so no boolean mask is materialised.
-    """
-    np.minimum(x, 0.0, out=scratch)
-    np.exp(scratch, out=scratch)
-    scratch -= 1.0
-    scratch *= SELU_ALPHA
-    np.maximum(x, 0.0, out=out)
-    out += scratch
-    out *= SELU_SCALE
-    return out
-
-
 def _fused_sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid computed in place on ``x``."""
     np.clip(x, -60.0, 60.0, out=x)
@@ -509,17 +491,8 @@ class Fp32ArenaBackend(ComputeBackend):
             raise ComputeError(
                 f"input spatial size {x.shape[1:3]} smaller than pool {layer.pool_size}"
             )
-        cropped = x[:, : out_h * ph, : out_w * pw, :]
         out = self._arena.get((index, "out"), (batch, out_h, out_w, channels))
-        # Non-overlapping pooling: the (di, dj) offset grids partition every
-        # window, so ph*pw strided maximums replace the generic reduction.
-        np.copyto(out, cropped[:, ::ph, ::pw, :])
-        for di in range(ph):
-            for dj in range(pw):
-                if di == 0 and dj == 0:
-                    continue
-                np.maximum(out, cropped[:, di::ph, dj::pw, :], out=out)
-        return out
+        return strided_max_pool(x, layer.pool_size, out=out, axis=1)
 
     @hot_path
     def _flatten(self, index: int, x: np.ndarray) -> np.ndarray:

@@ -170,8 +170,11 @@ class Conv2D(Layer):
     def _pad(self, x: np.ndarray) -> np.ndarray:
         if self.padding == "valid":
             return x
-        top, bottom, left, right = _pad_same(x.shape[2], x.shape[3], self.kernel_size)
-        return np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+        batch, channels, height, width = x.shape
+        top, bottom, left, right = _pad_same(height, width, self.kernel_size)
+        padded = np.zeros((batch, channels, height + top + bottom, width + left + right), x.dtype)
+        padded[:, :, top : top + height, left : left + width] = x
+        return padded
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.weight.shape[1]:
@@ -238,6 +241,28 @@ class Conv2D(Layer):
         )
 
 
+def strided_max_pool(
+    x: np.ndarray, pool_size: Tuple[int, int], out: Optional[np.ndarray] = None, axis: int = 2
+) -> np.ndarray:
+    """Non-overlapping max pooling over axes ``axis`` and ``axis + 1``, cropping any remainder.
+
+    The ``ph * pw`` strided offset grids partition every window, so as many
+    ``np.maximum`` passes replace a reduction over a 6-d window view; max rounds
+    nothing, and folding in window order resolves +0/-0 ties as the reduction does.
+    """
+    ph, pw = pool_size
+    height, width = x.shape[axis] // ph * ph, x.shape[axis + 1] // pw * pw
+    lead = (slice(None),) * axis
+
+    def grid(k: int) -> np.ndarray:  # the k-th offset of every window
+        return x[lead + (slice(k // pw, height, ph), slice(k % pw, width, pw))]
+
+    out = np.maximum(grid(0), grid(min(1, ph * pw - 1)), out=out)
+    for k in range(2, ph * pw):
+        np.maximum(out, grid(k), out=out)
+    return out
+
+
 class MaxPool2D(Layer):
     """Non-overlapping max pooling.
 
@@ -251,9 +276,8 @@ class MaxPool2D(Layer):
             raise LayerError("pool dimensions must be >= 1")
         self.pool_size = (ph, pw)
         self.name = name
-        self._windows: Optional[np.ndarray] = None
+        self._input: Optional[np.ndarray] = None
         self._out: Optional[np.ndarray] = None
-        self._input_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4:
@@ -264,35 +288,29 @@ class MaxPool2D(Layer):
                 f"{self.name}: input spatial size {x.shape[2:]} smaller than "
                 f"pool {self.pool_size}"
             )
-        self._input_shape = x.shape
-        out_h = x.shape[2] // ph
-        out_w = x.shape[3] // pw
-        cropped = x[:, :, : out_h * ph, : out_w * pw]
-        windows = cropped.reshape(x.shape[0], x.shape[1], out_h, ph, out_w, pw)
-        out = windows.max(axis=(3, 5))
-        # The winner mask is only needed by backward; keep the (view-backed)
-        # windows and the output so it can be built lazily there instead of
-        # paying for the comparison on every forward.  The windows view keeps
-        # the whole input batch alive, so it is not retained at inference.
-        self._windows = windows if training else None
+        out = strided_max_pool(x, self.pool_size)
+        # Backward builds the winner mask from the input and the output; the
+        # input would pin a whole batch alive, so inference keeps neither.
+        self._input = x if training else None
         self._out = out if training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._windows is None or self._input_shape is None:
+        if self._input is None or self._out is None:
             raise LayerError(f"{self.name}: backward called before forward")
         ph, pw = self.pool_size
+        b, c, out_h, out_w = self._out.shape
+        windows = self._input[:, :, : out_h * ph, : out_w * pw].reshape(b, c, out_h, ph, out_w, pw)
         # Mask of the maxima within each window (ties normalised below).
-        mask = self._windows == self._out[:, :, :, np.newaxis, :, np.newaxis]
+        mask = windows == self._out[:, :, :, np.newaxis, :, np.newaxis]
         # Normalise ties so the gradient sums to the output gradient.
         counts = mask.sum(axis=(3, 5), keepdims=True)
         weights = mask / counts
         grad_windows = (
             weights * grad_output[:, :, :, np.newaxis, :, np.newaxis]
         )
-        b, c, out_h, _, out_w, _ = grad_windows.shape
         grad_cropped = grad_windows.reshape(b, c, out_h * ph, out_w * pw)
-        grad_input = np.zeros(self._input_shape)
+        grad_input = np.zeros(self._input.shape)
         grad_input[:, :, : out_h * ph, : out_w * pw] = grad_cropped
         return grad_input
 
@@ -338,13 +356,30 @@ class Activation(Layer):
         return grad_output * self._derivative(self._input, self._output)
 
 
+def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SELU into ``out`` using one preallocated ``scratch``, no temporaries.
+
+    Bitwise ``SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1))``,
+    sign bit included: ``exp(min(x, 0)) - 1`` is exactly the negative branch for
+    ``x <= 0`` and ``+0`` for ``x > 0``, and adding it to ``max(x, 0)`` rounds nothing.
+    """
+    np.minimum(x, 0.0, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch -= 1.0
+    scratch *= SELU_ALPHA
+    np.maximum(x, 0.0, out=out)
+    out += scratch
+    out *= SELU_SCALE
+    return out
+
+
 class Selu(Activation):
     """Scaled exponential linear unit (the paper's activation of choice)."""
 
     name = "selu"
 
     def _activate(self, x: np.ndarray) -> np.ndarray:
-        return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1.0))
+        return fused_selu(x, np.empty_like(x), np.empty_like(x))
 
     def _derivative(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return SELU_SCALE * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))

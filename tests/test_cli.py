@@ -245,6 +245,43 @@ class TestProbeTrainEvaluate:
         assert code == 2
         assert "different number of classes" in capsys.readouterr().err
 
+        code = main(["evaluate", str(generated_dataset), str(model_dir), "--paper-model"])
+        assert code == 2
+        assert "different model configuration" in capsys.readouterr().err
+
+    def test_stored_model_supplies_feature_and_architecture(
+        self, generated_dataset, tmp_path, capsys
+    ):
+        model_dir = tmp_path / "model"
+        code = main(
+            [
+                "train", str(generated_dataset), str(model_dir), "--paper-model",
+                "--stride", "2", "--epochs", "1", "--batch-size", "16",
+            ]
+        )
+        assert code == 0
+        metadata = json.loads((model_dir / "metadata.json").read_text())
+        assert metadata["model"]["num_filters"] == 128
+        capsys.readouterr()
+
+        code = main(["authenticate", str(generated_dataset), str(model_dir)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "verdict module" in captured.out
+
+        # Flags that are given must still match the stored model.
+        for flags, key in (
+            (["--stride", "4"], "feature"),
+            (["--stream", "1"], "feature"),
+        ):
+            code = main(["evaluate", str(generated_dataset), str(model_dir)] + flags)
+            assert code == 2
+            assert f"different {key} configuration" in capsys.readouterr().err
+        code = main(
+            ["evaluate", str(generated_dataset), str(model_dir), "--stride", "2", "--paper-model"]
+        )
+        assert code == 0, capsys.readouterr().err
+
     def test_authenticate_compute_backends_and_profile(
         self, generated_dataset, tmp_path, capsys
     ):

@@ -19,13 +19,11 @@ from repro.nn.compute import (
     ExactBackend,
     Fp32ArenaBackend,
     Int8Backend,
-    SELU_ALPHA,
-    SELU_SCALE,
     compute_backend_names,
     create_compute_backend,
     fused_selu,
 )
-from repro.nn.layers import Conv2D, Dense, MaxPool2D, Selu, Softmax
+from repro.nn.layers import SELU_ALPHA, SELU_SCALE, Conv2D, Dense, MaxPool2D, Selu, Softmax
 from repro.nn.serialization import load_compute_state, save_compute_state
 from repro.nn.training import TrainingConfig
 
@@ -131,6 +129,18 @@ class TestFusedSelu:
             x > 0, x, SELU_ALPHA * (np.exp(x.astype(np.float64)) - 1.0)
         )
         np.testing.assert_allclose(out, reference, rtol=1e-6, atol=1e-6)
+
+    def test_fp64_is_bitwise_the_reference_formula(self):
+        # The exact backend's Selu layer runs this kernel on fp64 maps.
+        rng = np.random.default_rng(4)
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0]
+        x = np.concatenate([rng.standard_normal(4096) * 8.0, specials])
+        out = fused_selu(x, np.empty_like(x), np.empty_like(x))
+        with np.errstate(over="ignore"):
+            reference = SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1.0))
+        assert np.array_equal(out, reference, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(reference))
+        assert np.array_equal(out[:4096].view(np.int64), reference[:4096].view(np.int64))
 
 
 class TestExactBackend:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from repro.core.model import DeepCsiModelConfig, build_deepcsi_model
 from repro.nn.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 from repro.nn.layers import (
     SELU_ALPHA,
@@ -18,7 +21,68 @@ from repro.nn.layers import (
     Selu,
     Sigmoid,
     Softmax,
+    _pad_same,
 )
+
+
+# Reference oracles: the generic formulas the fp64 inference kernels replace.
+# The layers must reproduce them bit for bit (``exact`` numerics).
+def oracle_max_pool(x, pool_size):
+    """Crop, view as 6-d windows, reduce over both window axes."""
+    ph, pw = pool_size
+    batch, channels, height, width = x.shape
+    out_h, out_w = height // ph, width // pw
+    cropped = x[:, :, : out_h * ph, : out_w * pw]
+    windows = cropped.reshape(batch, channels, out_h, ph, out_w, pw)
+    return windows.max(axis=(3, 5))
+
+
+def oracle_selu(x):
+    """SELU through a boolean mask and the ``np.exp`` temporaries."""
+    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1.0))
+
+
+def oracle_conv(layer, x):
+    """``np.pad``, im2col ``tensordot``, NCHW copy, then ``+= bias``."""
+    kh, kw = layer.kernel_size
+    if layer.padding == "same":
+        top, bottom, left, right = _pad_same(x.shape[2], x.shape[3], layer.kernel_size)
+        x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.tensordot(windows, layer.weight, axes=([1, 4, 5], [1, 2, 3]))
+    out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
+    out += layer.bias[np.newaxis, :, np.newaxis, np.newaxis]
+    return out
+
+
+#: Values that stress bitwise parity: NaN, infinities, signed zeros, ties.
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-52]
+ELEMENTS = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(-60.0, 60.0, allow_nan=False),
+)
+
+
+@st.composite
+def feature_maps(draw, min_height=1, min_width=1):
+    """NCHW float64 maps mixing in special values; odd widths included."""
+    shape = (
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(min_height, 5)),
+        draw(st.integers(min_width, 9)),
+    )
+    # No fill value: every entry is drawn, so ties and +0/-0 pairs are common.
+    return draw(arrays(np.float64, shape, elements=ELEMENTS, fill=st.nothing()))
+
+
+def assert_bitwise_equal(actual, expected):
+    """Equal values (NaN equals NaN) and equal signs of every non-NaN entry."""
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(actual[numbers]), np.signbit(expected[numbers]))
 
 
 @pytest.fixture()
@@ -99,6 +163,24 @@ class TestConv2D:
         with pytest.raises(LayerError):
             layer.forward(rng.standard_normal((1, 1, 2, 2)))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        x=feature_maps(min_width=3),
+        kernel=st.sampled_from([(1, 1), (1, 3), (2, 3), (1, 7)]),
+        padding=st.sampled_from(["same", "valid"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forward_is_bitwise_the_oracle(self, x, kernel, padding, seed):
+        if padding == "valid":
+            kernel = (min(kernel[0], x.shape[2]), min(kernel[1], x.shape[3]))
+        weights = np.random.default_rng(seed)
+        layer = Conv2D(x.shape[1], 3, kernel, padding=padding, rng=weights)
+        layer.bias[...] = weights.standard_normal(3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = oracle_conv(layer, x)
+            assert_bitwise_equal(layer.forward(x), expected)
+            assert_bitwise_equal(layer.forward(x, training=True), expected)
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(LayerError):
             Conv2D(2, 2, (0, 3))
@@ -137,6 +219,25 @@ class TestMaxPool2D:
         with pytest.raises(LayerError):
             layer.forward(rng.standard_normal((1, 1, 2, 2)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=feature_maps(min_height=2, min_width=3),
+        pool=st.sampled_from([(1, 2), (2, 2), (1, 3)]),
+    )
+    def test_forward_is_bitwise_the_oracle(self, x, pool):
+        layer = MaxPool2D(pool)
+        expected = oracle_max_pool(x, pool)
+        inference = layer.forward(x)
+        assert_bitwise_equal(inference, expected)
+        assert_bitwise_equal(layer.forward(x, training=True), inference)
+
+    def test_backward_splits_ties_evenly_and_skips_cropped_columns(self):
+        layer = MaxPool2D((2, 2))
+        x = np.array([[[[3.0, 1.0, 7.0], [3.0, 2.0, 9.0]]]])  # width 3 -> cropped
+        layer.forward(x, training=True)
+        grad = layer.backward(np.array([[[[4.0]]]]))
+        np.testing.assert_allclose(grad, [[[[2.0, 0.0, 0.0], [2.0, 0.0, 0.0]]]])
+
 
 class TestActivations:
     def test_selu_constants(self):
@@ -150,6 +251,16 @@ class TestActivations:
         assert out[0, 1] == pytest.approx(0.0)
         assert out[0, 2] == pytest.approx(SELU_SCALE * 2.0)
         assert out[0, 0] == pytest.approx(SELU_SCALE * SELU_ALPHA * (np.exp(-1.0) - 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=feature_maps())
+    def test_selu_is_bitwise_the_oracle(self, x):
+        with np.errstate(over="ignore"):
+            expected = oracle_selu(x)
+        actual = Selu().forward(x)
+        assert_bitwise_equal(actual, expected)
+        # The sign of a NaN survives both formulas too.
+        assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
     def test_selu_preserves_standardised_statistics(self, rng):
         # The self-normalising property: for standard-normal inputs the
@@ -239,3 +350,24 @@ class TestAlphaDropout:
     def test_invalid_retain_probability_rejected(self):
         with pytest.raises(LayerError):
             AlphaDropout(0.0)
+
+
+class TestOracleForward:
+    def test_deepcsi_logits_are_bitwise_the_oracle_forward(self, rng):
+        config = DeepCsiModelConfig(
+            num_filters=8, kernel_widths=(7, 5, 3), dense_units=(16,), dropout_retain=(0.5,)
+        )
+        x = rng.standard_normal((5, 1, 3, 59))
+        model = build_deepcsi_model(x.shape[1:], 3, config=config, rng=np.random.default_rng(2))
+        expected = x
+        for layer in model.layers:
+            if isinstance(layer, Conv2D):
+                expected = oracle_conv(layer, expected)
+            elif isinstance(layer, MaxPool2D):
+                expected = oracle_max_pool(expected, layer.pool_size)
+            elif isinstance(layer, Selu):
+                expected = oracle_selu(expected)
+            else:
+                expected = layer.forward(expected)
+        logits = model.forward(x, training=False)
+        assert np.array_equal(logits.view(np.int64), expected.view(np.int64))
