@@ -18,13 +18,25 @@ shard engines run* to an :class:`ExecutionBackend`:
   including the int8 quantised weights and calibration scales -- while its
   scratch arenas are dropped on pickling and rebuilt lazily in the child,
   so a quantised service never re-calibrates per shard.  Afterwards the
-  hot path moves
-  frames through a :class:`~repro.core.transport.ShmRing` shared-memory ring
-  buffer - raw angle/``V~`` bytes plus a compact header, never a pickled
-  NumPy object per frame.  Compact per-frame *results* (module id,
-  confidence, source, sequence) return over a ``multiprocessing`` queue,
-  batched per micro-batch, together with a consistent
-  :class:`~repro.core.engine.EngineStats` snapshot.
+  hot path moves frames through a :class:`~repro.core.transport.ShmRing`
+  shared-memory ring buffer - raw angle/``V~`` bytes plus a compact header,
+  never a pickled NumPy object per frame.  Codeword frames
+  (:class:`~repro.feedback.quantization.QuantizedAngles`) wait in a
+  per-shard *train* and cross as one
+  :data:`~repro.core.transport.RECORD_CODEWORDS` record when the shard
+  engine would cut a batch with the last of them, or as soon as any other
+  record (a frame or ``V~`` record, a flush, a swap, a stop) or a frame of
+  another geometry must go first, or the train would outgrow the ring; the
+  engine therefore sees exactly the frames, order and batch boundaries it
+  would see frame by frame.  A frame that no record can carry fails its own
+  ``submit`` before it joins the train.  Compact
+  per-frame *results* (module id, confidence, source, sequence) return over
+  a ``multiprocessing`` queue, one message per shipped record, together
+  with a consistent :class:`~repro.core.engine.EngineStats` snapshot.  The
+  parent drains that queue without blocking right after each ring put
+  (once per train, not per frame) and whenever results, verdicts, stats or
+  a barrier are asked for; the failure check on ``submit`` only reads the
+  failure a drain recorded.
 
 Both backends provide the same invariants the service documents:
 
@@ -42,7 +54,8 @@ Both backends provide the same invariants the service documents:
   ``queue_full_waits``;
 * **failure visibility** - a worker that raises (or a child process that
   dies) surfaces as :class:`~repro.core.service.ServiceError` on the next
-  ``submit``/``flush``/``collect`` instead of a hang.
+  ``flush``/``collect`` (and on ``submit`` once a drain has seen it)
+  instead of a hang.
 """
 
 from __future__ import annotations
@@ -53,26 +66,32 @@ import queue
 import threading
 from collections import deque
 from dataclasses import replace
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.engine import (
+    DEFAULT_BATCH_SIZE,
     EngineResult,
     EngineStats,
     InferenceEngine,
     MajorityVerdict,
     Observation,
     SourceWindows,
+    flush_threshold,
 )
 from repro.core.lifecycle import DriftMonitor, DriftStatus, ModelVersion
 from repro.core.transport import (
+    CODEWORD_RECORD_OVERHEAD,
     RECORD_CODEWORDS,
+    CodewordFrame,
     RECORD_FLUSH,
     RECORD_FRAME,
     RECORD_MODEL_SWAP,
     RECORD_STOP,
     ShmRing,
+    TransportError,
+    check_codeword_frame,
     pack_array_record,
     pack_codeword_record,
     pack_control_record,
@@ -381,8 +400,22 @@ def _shard_worker_main(
         ]
         results.put(("results", shard_index, compact, _stats_tuple(engine)))
 
+    def fail(exc: BaseException) -> None:
+        nonlocal failed
+        failed = True
+        sequences.clear()
+        results.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
+
     while True:
-        record = ring.get()
+        try:
+            record = ring.get()
+        except TransportError as exc:
+            # The ring has already released the record's slots; a record
+            # that does not decode fails the shard like a frame that does
+            # not classify.
+            if not failed:
+                fail(exc)
+            continue
         if record.kind == RECORD_MODEL_SWAP:
             # A swap is an epoch barrier exactly like a flush: everything
             # buffered is classified under the old weights (and shipped),
@@ -397,11 +430,7 @@ def _shard_worker_main(
                     )
                     ship(engine.install_model(version))
                 except BaseException as exc:  # noqa: BLE001 - reported upstream
-                    failed = True
-                    sequences.clear()
-                    results.put(
-                        ("error", shard_index, f"{type(exc).__name__}: {exc}")
-                    )
+                    fail(exc)
             results.put(
                 ("swapped", shard_index, swap.version, _stats_tuple(engine))
             )
@@ -411,11 +440,7 @@ def _shard_worker_main(
                 try:
                     ship(engine.flush())
                 except BaseException as exc:  # noqa: BLE001 - reported upstream
-                    failed = True
-                    sequences.clear()
-                    results.put(
-                        ("error", shard_index, f"{type(exc).__name__}: {exc}")
-                    )
+                    fail(exc)
             if record.kind == RECORD_STOP:
                 results.put(("stopped", shard_index, _stats_tuple(engine)))
                 ring.close()
@@ -428,46 +453,158 @@ def _shard_worker_main(
             # Keep consuming so the producer never deadlocks on a full ring.
             continue
         try:
-            sequences.append(record.sequence)
-            if record.kind == RECORD_FRAME:
-                out = engine.submit_frame_payload(
-                    record.payload, record.source, record.timestamp_s
-                )
-            elif record.kind == RECORD_CODEWORDS:
-                out = engine.submit_quantized(
-                    record.quantized, record.source, record.timestamp_s
-                )
+            if record.kind == RECORD_CODEWORDS:
+                # A train: feed its frames one by one, so the engine cuts
+                # exactly the batches it would cut from single frames, and
+                # ship every result the train completed in one message.
+                out: List[EngineResult] = []
+                for frame in record.codewords:
+                    sequences.append(frame.sequence)
+                    out.extend(
+                        engine.submit_quantized(
+                            frame.quantized, frame.source, frame.timestamp_s
+                        )
+                    )
             else:
-                out = engine.submit_decoded(
-                    record.array, record.source, record.timestamp_s
-                )
+                sequences.append(record.sequence)
+                if record.kind == RECORD_FRAME:
+                    out = engine.submit_frame_payload(
+                        record.payload, record.source, record.timestamp_s
+                    )
+                else:
+                    out = engine.submit_decoded(
+                        record.array, record.source, record.timestamp_s
+                    )
             ship(out)
         except BaseException as exc:  # noqa: BLE001 - reported upstream
-            failed = True
-            sequences.clear()
-            results.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
+            fail(exc)
+
+
+class _CodewordTrain:
+    """Codeword frames of one geometry waiting to cross a ring as one record."""
+
+    def __init__(self, capacity: int) -> None:
+        #: Largest record the train may grow to.
+        self.capacity = capacity
+        self.frames: List[CodewordFrame] = []
+        #: UTF-8 source addresses of :attr:`frames`.
+        self.sources: List[bytes] = []
+        #: Geometry (from :func:`~repro.core.transport.check_codeword_frame`)
+        #: of :attr:`frames`.
+        self.geometry: Tuple[object, ...] = ()
+        #: Size of the train's record.
+        self.nbytes = CODEWORD_RECORD_OVERHEAD
+
+    def admits(self, geometry: Tuple[object, ...], size: int) -> bool:
+        """Whether a frame may join without cutting the train first."""
+        return not self.frames or (
+            geometry == self.geometry and self.nbytes + size <= self.capacity
+        )
+
+    def append(
+        self, frame: CodewordFrame, geometry: Tuple[object, ...], source: bytes, size: int
+    ) -> None:
+        self.frames.append(frame)
+        self.sources.append(source)
+        self.geometry = geometry
+        self.nbytes += size
+
+    def take(self) -> bytearray:
+        """The train as one record; leaves the train empty."""
+        record = pack_codeword_record(self.frames, self.sources)
+        self.frames, self.sources = [], []
+        self.nbytes = CODEWORD_RECORD_OVERHEAD
+        return record
 
 
 class _ProcessShard:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process, and its codeword train.
+
+    Codeword frames are not put on the ring one by one: they wait in
+    :attr:`train` until the worker engine would cut a batch with the last of
+    them (or any other record must go first), then cross as one
+    :data:`~repro.core.transport.RECORD_CODEWORDS` record.  The engine sees
+    the same frames in the same order, so batch boundaries, results and
+    verdicts are unchanged, and no frame waits longer than it would in the
+    engine's own buffer.
+    """
 
     def __init__(
         self,
         index: int,
         ring: ShmRing,
         windows: SourceWindows,
+        threshold: int,
+        on_wait: Callable[[], None],
+        liveness: Callable[["_ProcessShard"], None],
         drift: Optional[DriftMonitor] = None,
     ) -> None:
         self.index = index
         self.ring = ring
         self.windows = windows
+        #: The worker engine's flush threshold (``min(batch_size,
+        #: max_latency_frames)``).
+        self.threshold = threshold
+        self.on_wait = on_wait
+        self.liveness = liveness
         #: Parent-side drift replica, fed from the replayed result stream in
         #: arrival order -- identical trajectories to the worker's monitor.
         self.drift = drift
         self.process: Optional[multiprocessing.Process] = None
         self.stats = EngineStats()
         self.lock = threading.Lock()  # serialises producers on this ring
+        #: Largest record the ring can carry.
+        self.capacity = ring.num_slots * ring.slot_bytes
+        #: Codeword frames not yet on the ring.
+        self.train = _CodewordTrain(self.capacity)  # guarded-by: lock
+        #: Frames the worker engine will hold unbatched once it has consumed
+        #: every record shipped so far plus the train.
+        self.engine_pending = 0  # guarded-by: lock
         self.stopped = False
+
+    def add_codewords(self, frame: CodewordFrame) -> bool:
+        """Append one codeword frame; returns whether a record was put.
+
+        A frame that no codeword record on this ring can carry raises
+        :class:`~repro.core.transport.TransportError` here, before it joins
+        the train, so the frames already in the train are not affected.
+        """
+        geometry, source, size = check_codeword_frame(frame)
+        if CODEWORD_RECORD_OVERHEAD + size > self.capacity:
+            raise TransportError(
+                f"a {CODEWORD_RECORD_OVERHEAD + size}-byte codeword record "
+                f"does not fit the {self.capacity}-byte ring; raise "
+                f"queue_depth or slot_bytes"
+            )
+        with self.lock:
+            shipped = False
+            if not self.train.admits(geometry, size):
+                self._put(self.train.take())
+                shipped = True
+            self.train.append(frame, geometry, source, size)
+            self.engine_pending += 1
+            if self.engine_pending >= self.threshold:
+                self.engine_pending = 0
+                self._put(self.train.take())
+                shipped = True
+            return shipped
+
+    def send(self, record: bytes, carries_frame: bool) -> None:
+        """Put ``record`` behind the train; ``carries_frame`` is false for a
+        flush, swap or stop, which empties the engine's buffer."""
+        with self.lock:
+            if self.train.frames:
+                self._put(self.train.take())
+            self._put(record)
+            if carries_frame:
+                self.engine_pending = (self.engine_pending + 1) % self.threshold
+            else:
+                self.engine_pending = 0
+
+    def _put(self, record: bytes) -> None:
+        self.ring.put(
+            record, on_wait=self.on_wait, liveness=lambda: self.liveness(self)
+        )
 
 
 class ProcessBackend:
@@ -512,6 +649,10 @@ class ProcessBackend:
         reject_streak = engine_kwargs.get("reject_streak", 3)
         drift_config = engine_kwargs.get("drift")
         slot_bytes = self.DEFAULT_SLOT_BYTES if slot_bytes is None else slot_bytes
+        threshold = flush_threshold(
+            engine_kwargs.get("batch_size", DEFAULT_BATCH_SIZE),
+            engine_kwargs.get("max_latency_frames"),
+        )
         self.shards: List[_ProcessShard] = []
         try:
             for index in range(num_workers):
@@ -520,6 +661,9 @@ class ProcessBackend:
                     index,
                     ring,
                     SourceWindows(vote_window, max_sources, reject_streak),
+                    threshold,
+                    self._count_backpressure,
+                    self._check_worker_alive,
                     drift=(
                         DriftMonitor(drift_config)
                         if drift_config is not None
@@ -559,17 +703,21 @@ class ProcessBackend:
         observation: Observation,
         source: str,
     ) -> None:
-        record = self._encode(sequence, observation, source)
         shard = self.shards[shard_index]
-        with shard.lock:
-            shard.ring.put(
-                record,
-                on_wait=self._count_backpressure,
-                liveness=lambda: self._check_worker_alive(shard),
+        if isinstance(observation, QuantizedAngles):
+            # Codewords ride the ring as compact int16 trains (~8x smaller
+            # than the complex128 V~ record for the same geometry); the
+            # worker-side engine reconstructs on its own arena.
+            shipped = shard.add_codewords(
+                CodewordFrame(sequence, source, 0.0, observation)
             )
-        # Opportunistically drain finished results so the return queue never
-        # accumulates a whole run's worth of messages.
-        self._drain(block=False)
+        else:
+            shard.send(self._encode(sequence, observation, source), carries_frame=True)
+            shipped = True
+        if shipped:
+            # Drain once per record put, so the return queue never
+            # accumulates a whole run's worth of messages.
+            self._drain(block=False)
 
     def _encode(self, sequence: int, observation: Observation, source: str) -> bytes:
         if isinstance(observation, FeedbackFrame):
@@ -583,11 +731,6 @@ class ProcessBackend:
                 observation.timestamp_s,
                 np.asarray(observation.v_tilde),
             )
-        if isinstance(observation, QuantizedAngles):
-            # Codewords ride the ring as compact int16 payloads (~8x smaller
-            # than the complex128 V~ record for the same geometry); the
-            # worker-side engine reconstructs on its own arena.
-            return pack_codeword_record(sequence, source, 0.0, observation)
         # Anything else is handed to the worker engine as an array, which
         # validates the (K, M, N_SS) shape there - same point of failure as
         # the thread backend.
@@ -617,14 +760,9 @@ class ProcessBackend:
             flush_id = self._flush_id
             self._flush_acks[flush_id] = set()
             for shard in self.shards:
-                with shard.lock:
-                    shard.ring.put(
-                        pack_control_record(RECORD_FLUSH, flush_id),
-                        on_wait=self._count_backpressure,
-                        liveness=lambda shard=shard: self._check_worker_alive(
-                            shard
-                        ),
-                    )
+                shard.send(
+                    pack_control_record(RECORD_FLUSH, flush_id), carries_frame=False
+                )
             while len(self._flush_acks[flush_id]) < len(self.shards):
                 if not self._drain(block=True):
                     self._check_all_alive()
@@ -646,14 +784,7 @@ class ProcessBackend:
             acks = self._swap_acks.setdefault(version.version, set())
             try:
                 for shard in self.shards:
-                    with shard.lock:
-                        shard.ring.put(
-                            record,
-                            on_wait=self._count_backpressure,
-                            liveness=lambda shard=shard: self._check_worker_alive(
-                                shard
-                            ),
-                        )
+                    shard.send(record, carries_frame=False)
                 while len(acks) < len(self.shards):
                     if not self._drain(block=True):
                         self._check_all_alive()
@@ -806,7 +937,8 @@ class ProcessBackend:
         return waits
 
     def raise_if_failed(self) -> None:
-        self._drain(block=False)
+        # Reads only: the result queue is drained by submit (after each
+        # put), poll, flush and the introspection calls.
         if self._failure is not None:
             raise WorkerFailure(self._failure)
 
@@ -824,13 +956,7 @@ class ProcessBackend:
         try:
             for shard in self.shards:
                 try:
-                    with shard.lock:
-                        shard.ring.put(
-                            pack_control_record(RECORD_STOP),
-                            liveness=lambda shard=shard: self._check_worker_alive(
-                                shard
-                            ),
-                        )
+                    shard.send(pack_control_record(RECORD_STOP), carries_frame=False)
                 except Exception:  # noqa: BLE001 - dead worker; still clean up
                     continue
             deadline = 100  # x 0.1s drain timeout = 10s overall bound

@@ -385,6 +385,25 @@ class _PendingObservation:
     v_tilde: Optional[np.ndarray] = None
 
 
+#: Batch size of an :class:`InferenceEngine` built without one.
+DEFAULT_BATCH_SIZE = 64
+
+
+def flush_threshold(batch_size: int, max_latency_frames: Optional[int]) -> int:
+    """Buffered frames at which an engine cuts a batch.
+
+    ``min(batch_size, max_latency_frames)``; raises :class:`EngineError` for
+    a non-positive setting.
+    """
+    if batch_size < 1:
+        raise EngineError("batch_size must be >= 1")
+    if max_latency_frames is None:
+        return batch_size
+    if max_latency_frames < 1:
+        raise EngineError("max_latency_frames must be >= 1 or None")
+    return min(batch_size, max_latency_frames)
+
+
 class InferenceEngine:
     """Micro-batched streaming classification of beamforming feedback.
 
@@ -461,7 +480,7 @@ class InferenceEngine:
     def __init__(
         self,
         classifier: DeepCsiClassifier,
-        batch_size: int = 64,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         max_latency_frames: Optional[int] = None,
         vote_window: int = 16,
         max_sources: int = 1024,
@@ -472,10 +491,7 @@ class InferenceEngine:
         precision: str = "exact",
         profile: bool = False,
     ) -> None:
-        if batch_size < 1:
-            raise EngineError("batch_size must be >= 1")
-        if max_latency_frames is not None and max_latency_frames < 1:
-            raise EngineError("max_latency_frames must be >= 1 or None")
+        self._flush_threshold = flush_threshold(batch_size, max_latency_frames)
         if precision not in PRECISION_NAMES:
             raise EngineError(
                 f"unknown precision {precision!r}; expected one of "
@@ -695,10 +711,7 @@ class InferenceEngine:
         self._pending.append(entry)
         with self._stats_lock:
             self._stats.frames_in += 1
-        threshold = self.batch_size
-        if self.max_latency_frames is not None:
-            threshold = min(threshold, self.max_latency_frames)
-        if len(self._pending) >= threshold:
+        if len(self._pending) >= self._flush_threshold:
             return self._process_pending()
         return []
 

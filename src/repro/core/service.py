@@ -441,8 +441,11 @@ class StreamingService:
 
     def collect(self) -> List[EngineResult]:
         """Pop every result completed so far (per-source submission order)."""
+        # Poll first: it drains the process shards' result queue, which is
+        # where a worker's failure report arrives.
+        results = self._backend.poll()
         self._check_failure()
-        return self._backend.poll()
+        return results
 
     # ------------------------------------------------------------------ #
     # Model lifecycle

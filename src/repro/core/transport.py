@@ -14,9 +14,9 @@ a ``multiprocessing.shared_memory`` segment:
   ``ceil(record_bytes / slot_bytes)`` *consecutive* slots, so arbitrarily
   large frames are supported without per-record allocation;
 * each record is a compact binary layout (:data:`_HEADER` + UTF-8 source
-  address + raw payload bytes): the dequantised angle/``V~`` payload is
-  copied **once** from producer memory into the shared segment and **once**
-  out on the consumer side - no pickling anywhere on the frame path;
+  address + raw payload bytes): the angle/``V~`` payload is copied **once**
+  from producer memory into the shared segment and **once** out on the
+  consumer side - no pickling anywhere on the frame path;
 * free/filled accounting uses two ``multiprocessing`` semaphores, which
   double as the backpressure mechanism: a full ring blocks the producer
   exactly like the bounded ``queue.Queue`` of the thread backend;
@@ -31,7 +31,9 @@ Record kinds:
 :data:`RECORD_FLUSH`      control: flush the shard engine, ack with the
                           echoed ``sequence`` (used as a flush generation id)
 :data:`RECORD_STOP`       control: flush, ack and exit the worker loop
-:data:`RECORD_CODEWORDS`  integer angle codewords + quantisation config
+:data:`RECORD_CODEWORDS`  a train of one or more frames' integer angle
+                          codewords sharing one quantisation config and
+                          geometry
 :data:`RECORD_MODEL_SWAP` control: install a serialised
                           :class:`~repro.core.lifecycle.ModelVersion`, ack
                           with the version number
@@ -42,17 +44,32 @@ was on the air, so the worker-side engine parses and de-quantises it through
 the *same* batched Givens path as the thread backend - the bitwise
 verdict-parity invariant holds by construction.
 
-:data:`RECORD_CODEWORDS` is the codeword-native wire form: a 7-byte config
-subheader (:data:`_CODEWORD_HEADER`: ``b_phi``, ``b_psi``, ``strict``,
-``num_tx``, ``num_streams`` as ``u8`` and ``num_subcarriers`` as ``u16``)
-followed by the little-endian ``int16`` ``q_phi`` then ``q_psi`` codeword
-planes (their per-sub-carrier counts follow from the geometry via
-:func:`repro.feedback.givens.angle_counts`).  For the paper's 80 MHz
-``(K, M, N_SS) = (234, 3, 2)`` geometry that is 2 815 payload bytes against
-the 22 464 bytes of the equivalent complex128 ``V~`` record - about 8x less
-ring traffic - and reconstruction moves behind the ring onto the worker
-side, where the engine's codeword fast path consumes the codewords without
-ever materialising the angles.
+:data:`RECORD_CODEWORDS` is the codeword-native wire form, and the one
+record kind that carries a *train* of frames: the process backend collects
+one shard's same-geometry codeword frames and ships them together, so the
+ring, its semaphores and the worker's decode are paid once per train rather
+than once per frame (a single frame is simply a train of one).  Its payload
+is a 12-byte subheader (:data:`_CODEWORD_HEADER`: frame ``count`` as
+``u32``, ``b_phi``, ``b_psi``, ``strict``, ``num_tx``, ``num_streams`` as
+``u8``, ``num_subcarriers`` as ``u16`` and one pad byte), then an entry
+table of ``count`` 18-byte rows (:data:`_CODEWORD_ENTRY`: sequence ``u64``,
+capture timestamp ``f64``, source-address length ``u16``), then the
+stacked little-endian ``int16`` ``q_phi`` planes of every frame, the
+stacked ``q_psi`` planes, and finally the concatenated UTF-8 source
+addresses (their per-sub-carrier angle counts follow from the geometry via
+:func:`repro.feedback.givens.angle_counts`).  The consumer decodes the
+planes with one :func:`numpy.frombuffer` and hands out per-frame views.
+For the paper's 80 MHz ``(K, M, N_SS) = (234, 3, 2)`` geometry one frame
+costs 2 808 plane bytes against the 22 464 bytes of the equivalent
+complex128 ``V~`` record - about 8x less ring traffic - and reconstruction
+moves behind the ring onto the worker side, where the engine's codeword
+fast path consumes the codewords without ever materialising the angles.
+
+:func:`unpack_record` raises :class:`TransportError`, and nothing else, for
+every malformed record: truncated, of an unknown kind, with a non-UTF-8
+source, a non-numeric dtype, a payload or entry table that overruns or
+misses bytes, an invalid codebook or geometry, or codewords outside their
+codebook.
 
 :data:`RECORD_MODEL_SWAP` rides the same ring as the frames it must be
 ordered against: because the ring is strictly FIFO, every frame enqueued
@@ -67,15 +84,21 @@ KB for the paper model) simply spans as many consecutive slots as it needs.
 
 from __future__ import annotations
 
+import itertools
+import math
 import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.feedback.givens import angle_counts
-from repro.feedback.quantization import QuantizationConfig, QuantizedAngles
+from repro.feedback.givens import GivensError, angle_counts
+from repro.feedback.quantization import (
+    QuantizationConfig,
+    QuantizationError,
+    QuantizedAngles,
+)
 
 
 class TransportError(RuntimeError):
@@ -91,6 +114,14 @@ RECORD_CODEWORDS = 4
 RECORD_MODEL_SWAP = 5
 
 _CONTROL_KINDS = (RECORD_FLUSH, RECORD_STOP)
+_RECORD_KINDS = (
+    RECORD_VTILDE,
+    RECORD_FRAME,
+    RECORD_FLUSH,
+    RECORD_STOP,
+    RECORD_CODEWORDS,
+    RECORD_MODEL_SWAP,
+)
 
 #: Fixed record header: kind (u8), ndim (u8), dtype string (8 bytes,
 #: NUL-padded, e.g. ``<c16``), source length (u16), payload bytes (u32),
@@ -101,9 +132,15 @@ _HEADER = struct.Struct("<BB8sHIQd4I")
 #: Largest ndarray rank the header's fixed shape field can carry.
 MAX_NDIM = 4
 
-#: Subheader of :data:`RECORD_CODEWORDS` payloads: b_phi (u8), b_psi (u8),
-#: strict flag (u8), num_tx (u8), num_streams (u8), num_subcarriers (u16).
-_CODEWORD_HEADER = struct.Struct("<BBBBBH")
+#: Subheader of :data:`RECORD_CODEWORDS` payloads: frame count (u32),
+#: b_phi (u8), b_psi (u8), strict flag (u8), num_tx (u8), num_streams (u8),
+#: num_subcarriers (u16), pad byte (keeps the int16 planes 2-byte aligned).
+_CODEWORD_HEADER = struct.Struct("<IBBBBBHx")
+
+#: One row of the :data:`RECORD_CODEWORDS` entry table per frame.
+_CODEWORD_ENTRY = np.dtype(
+    [("sequence", "<u8"), ("timestamp_s", "<f8"), ("source_bytes", "<u2")]
+)
 
 #: Wire dtype of the codeword planes (matches ``quantize_phi``'s output).
 _CODEWORD_DTYPE = np.dtype("<i2")
@@ -129,6 +166,59 @@ class ModelSwap:
     open_set_threshold: Optional[float] = None
 
 
+class CodewordFrame(NamedTuple):
+    """One frame of a :data:`RECORD_CODEWORDS` train."""
+
+    sequence: int
+    source: str
+    timestamp_s: float
+    quantized: QuantizedAngles
+
+
+#: Bytes of a :data:`RECORD_CODEWORDS` record besides its frames.
+CODEWORD_RECORD_OVERHEAD = _HEADER.size + _CODEWORD_HEADER.size
+
+
+def check_codeword_frame(frame: CodewordFrame) -> Tuple[Tuple[Any, ...], bytes, int]:
+    """Check that ``frame`` fits a :data:`RECORD_CODEWORDS` record.
+
+    Returns the geometry every frame of one record must share, the frame's
+    UTF-8 source address, and the bytes the frame adds to a record (entry
+    row, codeword planes and source).  Raises :class:`TransportError` when
+    the codebook or geometry does not fit the subheader, or the source
+    address does not fit the entry table.
+    """
+    quantized = frame[3]
+    config = quantized.config
+    num_sub = quantized.num_subcarriers
+    if not (
+        0 <= config.b_phi <= 0xFF
+        and 0 <= config.b_psi <= 0xFF
+        and 0 <= quantized.num_tx <= 0xFF
+        and 0 <= quantized.num_streams <= 0xFF
+        and 0 <= num_sub <= 0xFFFF
+    ):
+        raise TransportError(
+            f"(b_phi, b_psi, M, N_SS, K) = ({config.b_phi}, {config.b_psi}, "
+            f"{quantized.num_tx}, {quantized.num_streams}, {num_sub}) does "
+            f"not fit the codeword record subheader"
+        )
+    source = _encode_source(frame[1])
+    geometry = (
+        config,
+        quantized.num_tx,
+        quantized.num_streams,
+        quantized.q_phi.shape,
+        quantized.q_psi.shape,
+    )
+    size = (
+        _CODEWORD_ENTRY.itemsize
+        + _CODEWORD_DTYPE.itemsize * (quantized.q_phi.size + quantized.q_psi.size)
+        + len(source)
+    )
+    return geometry, source, size
+
+
 @dataclass(frozen=True)
 class Record:
     """One decoded transport record."""
@@ -141,8 +231,8 @@ class Record:
     payload: bytes = b""
     #: Decoded array for :data:`RECORD_VTILDE` records.
     array: Optional[np.ndarray] = None
-    #: Decoded codewords for :data:`RECORD_CODEWORDS` records.
-    quantized: Optional[QuantizedAngles] = None
+    #: Decoded frames of a :data:`RECORD_CODEWORDS` train, in ship order.
+    codewords: Tuple[CodewordFrame, ...] = ()
     #: Decoded swap payload for :data:`RECORD_MODEL_SWAP` records.
     swap: Optional[ModelSwap] = None
 
@@ -182,40 +272,68 @@ def pack_frame_record(
 
 
 def pack_codeword_record(
-    sequence: int, source: str, timestamp_s: float, quantized: QuantizedAngles
-) -> bytes:
-    """Encode quantised angle codewords as one :data:`RECORD_CODEWORDS`.
+    frames: Sequence[CodewordFrame], sources: Optional[Sequence[bytes]] = None
+) -> bytearray:
+    """Encode a train of quantised-codeword frames as one :data:`RECORD_CODEWORDS`.
 
-    The record carries the raw ``int16`` codeword planes plus the
-    quantisation config and matrix geometry -- everything the worker-side
-    engine needs to run the codeword-native reconstruction fast path.
+    ``frames`` are ``(sequence, source, timestamp_s, quantized)`` tuples that
+    all share one geometry.  The record carries their raw ``int16`` codeword
+    planes plus the quantisation config and matrix geometry -- everything
+    the worker-side engine needs to run the codeword-native reconstruction
+    fast path.  Each plane is copied once, straight into the returned
+    record buffer.
+
+    ``sources`` are the frames' UTF-8 source addresses as
+    :func:`check_codeword_frame` returned them, from a caller that checked
+    every frame while it collected the train; without them each frame is
+    checked here.
     """
-    num_sub = quantized.num_subcarriers
-    for value, limit, what in (
-        (quantized.config.b_phi, 0xFF, "b_phi"),
-        (quantized.config.b_psi, 0xFF, "b_psi"),
-        (quantized.num_tx, 0xFF, "num_tx"),
-        (quantized.num_streams, 0xFF, "num_streams"),
-        (num_sub, 0xFFFF, "num_subcarriers"),
-    ):
-        if not 0 <= value <= limit:
+    if not frames:
+        raise TransportError("a codeword record carries at least one frame")
+    if sources is None:
+        checked = [check_codeword_frame(frame) for frame in frames]
+        if any(geometry != checked[0][0] for geometry, _, _ in checked):
             raise TransportError(
-                f"{what}={value} does not fit the codeword record subheader"
+                "the frames of one codeword record must share one "
+                "quantisation config and geometry"
             )
-    subheader = _CODEWORD_HEADER.pack(
-        quantized.config.b_phi,
-        quantized.config.b_psi,
-        1 if quantized.config.strict else 0,
-        quantized.num_tx,
-        quantized.num_streams,
-        num_sub,
+        sources = [source for _, source, _ in checked]
+    count = len(frames)
+    head = frames[0][3]
+    blob = b"".join(sources)
+    phi_size, psi_size = head.q_phi.size, head.q_psi.size
+    table_at = CODEWORD_RECORD_OVERHEAD
+    phi_at = table_at + count * _CODEWORD_ENTRY.itemsize
+    psi_at = phi_at + 2 * count * phi_size
+    sources_at = psi_at + 2 * count * psi_size
+    record = bytearray(sources_at + len(blob))
+    _HEADER.pack_into(
+        record, 0, RECORD_CODEWORDS, 0, b"", 0, len(record) - _HEADER.size,
+        frames[0][0], 0.0, 0, 0, 0, 0,
     )
-    q_phi = np.ascontiguousarray(quantized.q_phi, dtype=_CODEWORD_DTYPE)
-    q_psi = np.ascontiguousarray(quantized.q_psi, dtype=_CODEWORD_DTYPE)
-    payload = subheader + q_phi.tobytes() + q_psi.tobytes()
-    return _pack(
-        RECORD_CODEWORDS, 0, b"", source, payload, sequence, timestamp_s, ()
+    _CODEWORD_HEADER.pack_into(
+        record,
+        _HEADER.size,
+        count,
+        head.config.b_phi,
+        head.config.b_psi,
+        1 if head.config.strict else 0,
+        head.num_tx,
+        head.num_streams,
+        head.num_subcarriers,
     )
+    table = np.frombuffer(record, dtype=_CODEWORD_ENTRY, count=count, offset=table_at)
+    table["sequence"] = [frame[0] for frame in frames]
+    table["timestamp_s"] = [frame[2] for frame in frames]
+    table["source_bytes"] = [len(encoded) for encoded in sources]
+    for at, size, planes in (
+        (phi_at, phi_size, [frame[3].q_phi for frame in frames]),
+        (psi_at, psi_size, [frame[3].q_psi for frame in frames]),
+    ):
+        out = np.frombuffer(record, dtype=_CODEWORD_DTYPE, count=count * size, offset=at)
+        np.concatenate(planes, axis=None, out=out, casting="unsafe")
+    record[sources_at:] = blob
+    return record
 
 
 def pack_model_swap_record(
@@ -261,9 +379,7 @@ def _pack(
     timestamp_s: float,
     shape: Tuple[int, ...],
 ) -> bytes:
-    source_bytes = source.encode("utf-8")
-    if len(source_bytes) > 0xFFFF:
-        raise TransportError("source address does not fit the record header")
+    source_bytes = _encode_source(source)
     padded_shape = tuple(shape) + (0,) * (MAX_NDIM - len(shape))
     header = _HEADER.pack(
         kind,
@@ -279,7 +395,19 @@ def _pack(
 
 
 def unpack_record(data: bytes) -> Record:
-    """Decode one record produced by the ``pack_*`` helpers."""
+    """Decode one record produced by the ``pack_*`` helpers.
+
+    Every malformed input raises :class:`TransportError`; nothing else
+    escapes.  Decoded arrays are views into ``data`` when it is writable
+    (the ring hands out a fresh ``bytearray`` per record) and into a private
+    copy otherwise.
+    """
+    if not isinstance(data, bytearray):
+        data = bytearray(data)
+    if len(data) < _HEADER.size:
+        raise TransportError(
+            f"truncated record header ({len(data)} of {_HEADER.size} bytes)"
+        )
     (
         kind,
         ndim,
@@ -290,23 +418,31 @@ def unpack_record(data: bytes) -> Record:
         timestamp_s,
         *shape,
     ) = _HEADER.unpack_from(data)
+    if kind not in _RECORD_KINDS:
+        raise TransportError(f"unknown record kind {kind}")
     offset = _HEADER.size
-    source = bytes(data[offset : offset + source_len]).decode("utf-8")
+    if len(data) < offset + source_len:
+        raise TransportError("record truncated inside its source address")
+    source = _decode_source(data[offset : offset + source_len])
     offset += source_len
-    payload = bytes(data[offset : offset + payload_len])
+    # The kind-specific decoders below check the payload length (and name
+    # what is missing); frames and control records check it here.
+    payload = memoryview(data)[offset : offset + payload_len]
     if kind == RECORD_VTILDE:
-        dtype = np.dtype(dtype_str.rstrip(b"\x00").decode("ascii"))
-        array = np.frombuffer(bytearray(payload), dtype=dtype).reshape(
-            shape[:ndim]
+        return Record(
+            kind,
+            sequence,
+            source,
+            timestamp_s,
+            array=_unpack_array(payload, ndim, dtype_str, shape),
         )
-        return Record(kind, sequence, source, timestamp_s, array=array)
     if kind == RECORD_CODEWORDS:
         return Record(
             kind,
             sequence,
             source,
             timestamp_s,
-            quantized=_unpack_codewords(payload),
+            codewords=_unpack_codewords(payload),
         )
     if kind == RECORD_MODEL_SWAP:
         return Record(
@@ -316,7 +452,52 @@ def unpack_record(data: bytes) -> Record:
             timestamp_s,
             swap=_unpack_model_swap(payload),
         )
-    return Record(kind, sequence, source, timestamp_s, payload=payload)
+    if len(payload) != payload_len:
+        raise TransportError(
+            f"record payload has {len(payload)} bytes, its header declares "
+            f"{payload_len}"
+        )
+    return Record(kind, sequence, source, timestamp_s, payload=bytes(payload))
+
+
+def _encode_source(source: str) -> bytes:
+    try:
+        encoded = source.encode("utf-8")
+    except UnicodeEncodeError as error:
+        raise TransportError(f"source address is not UTF-8: {error}") from None
+    if len(encoded) > 0xFFFF:
+        raise TransportError(
+            f"a {len(encoded)}-byte source address does not fit the record "
+            f"(at most {0xFFFF} bytes)"
+        )
+    return encoded
+
+
+def _decode_source(raw: Any) -> str:
+    try:
+        return bytes(raw).decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise TransportError(f"source address is not UTF-8: {error}") from None
+
+
+def _unpack_array(
+    payload: memoryview, ndim: int, dtype_str: bytes, shape: Sequence[int]
+) -> np.ndarray:
+    if ndim > MAX_NDIM:
+        raise TransportError(f"array record declares {ndim} > {MAX_NDIM} dimensions")
+    try:
+        dtype = np.dtype(dtype_str.rstrip(b"\x00").decode("ascii"))
+    except (UnicodeDecodeError, TypeError, ValueError):
+        raise TransportError(f"array record declares bad dtype {dtype_str!r}") from None
+    if dtype.kind not in "biufc":
+        raise TransportError(f"array record declares non-numeric dtype {dtype}")
+    shape = tuple(shape[:ndim])
+    if len(payload) != dtype.itemsize * math.prod(shape):
+        raise TransportError(
+            f"array record payload has {len(payload)} bytes, expected "
+            f"{shape} x {dtype.itemsize}"
+        )
+    return np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
 def _unpack_model_swap(payload: bytes) -> ModelSwap:
@@ -335,42 +516,87 @@ def _unpack_model_swap(payload: bytes) -> ModelSwap:
     )
 
 
-def _unpack_codewords(payload: bytes) -> QuantizedAngles:
+def _unpack_codewords(payload: Any) -> Tuple[CodewordFrame, ...]:
     if len(payload) < _CODEWORD_HEADER.size:
         raise TransportError("truncated codeword record subheader")
-    b_phi, b_psi, strict, num_tx, num_streams, num_sub = _CODEWORD_HEADER.unpack_from(
-        payload
+    (
+        count,
+        b_phi,
+        b_psi,
+        strict,
+        num_tx,
+        num_streams,
+        num_sub,
+    ) = _CODEWORD_HEADER.unpack_from(payload)
+    if count < 1 or num_sub < 1 or strict > 1:
+        raise TransportError(
+            f"codeword record declares count={count}, K={num_sub}, "
+            f"strict={strict}"
+        )
+    try:
+        config = QuantizationConfig(b_phi=b_phi, b_psi=b_psi, strict=bool(strict))
+        n_phi, n_psi = angle_counts(num_tx, num_streams)
+    except (QuantizationError, GivensError) as error:
+        raise TransportError(f"codeword record subheader: {error}") from None
+    planes_at = _CODEWORD_HEADER.size + count * _CODEWORD_ENTRY.itemsize
+    if planes_at > len(payload):
+        raise TransportError(
+            f"codeword record entry table of {count} frames overruns its "
+            f"{len(payload)}-byte payload"
+        )
+    table = np.frombuffer(
+        payload, dtype=_CODEWORD_ENTRY, count=count, offset=_CODEWORD_HEADER.size
     )
-    config = QuantizationConfig(b_phi=b_phi, b_psi=b_psi, strict=bool(strict))
-    n_phi, n_psi = angle_counts(num_tx, num_streams)
-    expected = _CODEWORD_HEADER.size + 2 * num_sub * (n_phi + n_psi)
+    phi_size, psi_size = num_sub * n_phi, num_sub * n_psi
+    sources_at = planes_at + 2 * count * (phi_size + psi_size)
+    entries = table.tolist()
+    source_ends = list(itertools.accumulate(entry[2] for entry in entries))
+    expected = sources_at + source_ends[-1]
     if len(payload) != expected:
         raise TransportError(
             f"codeword record payload has {len(payload)} bytes, expected "
-            f"{expected} for (K, M, N_SS) = ({num_sub}, {num_tx}, {num_streams})"
+            f"{expected} for {count} frames of (K, M, N_SS) = "
+            f"({num_sub}, {num_tx}, {num_streams})"
         )
-    offset = _CODEWORD_HEADER.size
-    phi_bytes = 2 * num_sub * n_phi
-    # bytearray copies keep the arrays writable and independent of the
-    # transport buffer; astype normalises the wire byte order to native.
-    q_phi = (
-        np.frombuffer(bytearray(payload[offset : offset + phi_bytes]), dtype=_CODEWORD_DTYPE)
-        .reshape(num_sub, n_phi)
-        .astype(np.int16, copy=False)
-    )
-    offset += phi_bytes
-    q_psi = (
-        np.frombuffer(bytearray(payload[offset:]), dtype=_CODEWORD_DTYPE)
-        .reshape(num_sub, n_psi)
-        .astype(np.int16, copy=False)
-    )
-    return QuantizedAngles(
-        q_phi=q_phi,
-        q_psi=q_psi,
-        config=config,
-        num_tx=num_tx,
-        num_streams=num_streams,
-    )
+    planes = np.frombuffer(
+        payload,
+        dtype=_CODEWORD_DTYPE,
+        count=count * (phi_size + psi_size),
+        offset=planes_at,
+    ).astype(np.int16, copy=False)
+    q_phi = planes[: count * phi_size].reshape(count, num_sub, n_phi)
+    q_psi = planes[count * phi_size :].reshape(count, num_sub, n_psi)
+    for plane, levels, what in (
+        (q_phi, config.phi_levels, "phi"),
+        (q_psi, config.psi_levels, "psi"),
+    ):
+        # Negative codewords read as >= 2**15 through the unsigned view.
+        if int(plane.view(np.uint16).max()) >= min(levels, 1 << 15):
+            raise TransportError(
+                f"codeword record carries {what} codewords outside [0, {levels})"
+            )
+    blob = payload[sources_at:]
+    frames = []
+    start = 0
+    for index, ((sequence, timestamp_s, _), end) in enumerate(
+        zip(entries, source_ends)
+    ):
+        frames.append(
+            CodewordFrame(
+                sequence,
+                _decode_source(blob[start:end]),
+                timestamp_s,
+                QuantizedAngles(
+                    q_phi=q_phi[index],
+                    q_psi=q_psi[index],
+                    config=config,
+                    num_tx=num_tx,
+                    num_streams=num_streams,
+                ),
+            )
+        )
+        start = end
+    return tuple(frames)
 
 
 class ShmRing:
@@ -465,10 +691,11 @@ class ShmRing:
                 if liveness is not None:
                     liveness()
         view = self._shm.buf
+        source = memoryview(record)
         offset = 0
         for index in range(needed):
             slot = (self._head + index) % self.num_slots
-            chunk = record[offset : offset + self.slot_bytes]
+            chunk = source[offset : offset + self.slot_bytes]
             start = slot * self.slot_bytes
             view[start : start + len(chunk)] = chunk
             offset += len(chunk)
@@ -559,6 +786,8 @@ def segment_exists(name: str) -> bool:
 
 
 __all__ = [
+    "CODEWORD_RECORD_OVERHEAD",
+    "CodewordFrame",
     "MAX_NDIM",
     "ModelSwap",
     "RECORD_CODEWORDS",
@@ -570,6 +799,7 @@ __all__ = [
     "Record",
     "ShmRing",
     "TransportError",
+    "check_codeword_frame",
     "pack_array_record",
     "pack_codeword_record",
     "pack_control_record",

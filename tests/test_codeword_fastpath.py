@@ -22,6 +22,8 @@ from repro.core.service import ServiceError, StreamingService
 from repro.core.transport import (
     RECORD_CODEWORDS,
     TransportError,
+    _CODEWORD_ENTRY,
+    _CODEWORD_HEADER,
     _unpack_codewords,
     pack_array_record,
     pack_codeword_record,
@@ -329,13 +331,14 @@ class TestEnginePrecision:
 class TestCodewordTransport:
     def test_round_trip(self, quantized_stream):
         source, quantized = quantized_stream[0]
-        data = pack_codeword_record(42, source, 1.5, quantized)
+        data = pack_codeword_record([(42, source, 1.5, quantized)])
         record = unpack_record(data)
         assert record.kind == RECORD_CODEWORDS
-        assert record.sequence == 42
-        assert record.source == source
-        assert record.timestamp_s == 1.5
-        decoded = record.quantized
+        (frame,) = record.codewords
+        assert frame.sequence == 42
+        assert frame.source == source
+        assert frame.timestamp_s == 1.5
+        decoded = frame.quantized
         assert decoded is not None
         assert decoded.config == quantized.config
         assert decoded.num_tx == quantized.num_tx
@@ -348,13 +351,13 @@ class TestCodewordTransport:
         _, quantized = quantized_stream[0]
         q_phi, q_psi, config, num_tx, num_streams = stack_quantized_angles([quantized])
         v_batch = _legacy_reconstruct(q_phi, q_psi, config, num_tx, num_streams)
-        codeword_bytes = len(pack_codeword_record(0, "a", 0.0, quantized))
+        codeword_bytes = len(pack_codeword_record([(0, "a", 0.0, quantized)]))
         vtilde_bytes = len(pack_array_record(0, "a", 0.0, v_batch[0]))
         assert codeword_bytes * 6 < vtilde_bytes
 
     def test_truncated_payload_rejected(self, quantized_stream):
         _, quantized = quantized_stream[0]
-        data = pack_codeword_record(0, "a", 0.0, quantized)
+        data = pack_codeword_record([(0, "a", 0.0, quantized)])
         with pytest.raises(TransportError):
             unpack_record(data[:-3])
 
@@ -363,13 +366,13 @@ class TestCodewordTransport:
             _unpack_codewords(b"\x01")
 
     def test_length_mismatch_rejected(self):
-        import struct
-
-        # A valid subheader for (K, M, N_SS) = (4, 3, 2) followed by two
-        # bytes fewer than the 4 * (5 + 3) int16 codewords it promises.
-        subheader = struct.pack("<BBBBBH", 9, 7, 1, 3, 2, 4)
+        # A valid subheader and entry for one (K, M, N_SS) = (4, 3, 2) frame
+        # followed by two bytes fewer than the 4 * (3 + 3) int16 codewords
+        # it promises.
+        subheader = _CODEWORD_HEADER.pack(1, 9, 7, 1, 3, 2, 4)
+        entry = np.zeros(1, dtype=_CODEWORD_ENTRY).tobytes()
         with pytest.raises(TransportError):
-            _unpack_codewords(subheader + b"\x00" * (2 * 4 * 8 - 2))
+            _unpack_codewords(subheader + entry + b"\x00" * (2 * 4 * 6 - 2))
 
     def test_process_backend_parity(self, trained_classifier, quantized_stream):
         reference = InferenceEngine(trained_classifier, batch_size=8)

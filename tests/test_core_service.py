@@ -1,5 +1,8 @@
 """Tests for the sharded multi-worker streaming service."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,13 @@ from repro.core.service import (
     resolve_num_workers,
     shard_for_source,
 )
+from repro.core.transport import RECORD_CODEWORDS, TransportError
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.capture import station_mac
+from repro.feedback.frames import FeedbackFrame, VhtMimoControl, pack_feedback_frame
+from repro.feedback.givens import compress_v_matrix
+from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.training import TrainingConfig
 
 TINY_MODEL = DeepCsiModelConfig(
@@ -442,6 +449,343 @@ class TestProcessBackend:
         service.close()  # idempotent
         with pytest.raises(ServiceError):
             service.submit(test_samples[0])
+
+
+def _quantize(samples, config=QuantizationConfig()):
+    return [quantize_angles(compress_v_matrix(sample.v_tilde), config) for sample in samples]
+
+
+def _frame(quantized, source, timestamp_s):
+    control = VhtMimoControl(
+        num_columns=quantized.num_streams,
+        num_rows=quantized.num_tx,
+        bandwidth_mhz=80,
+        codebook=1,
+        num_subcarriers=quantized.num_subcarriers,
+    )
+    return FeedbackFrame(
+        source_address=source,
+        destination_address="02:00:00:00:aa:00",
+        timestamp_s=timestamp_s,
+        payload=pack_feedback_frame(quantized, control),
+    )
+
+
+def _run_backend(classifier, backend, drive, **kwargs):
+    """Run ``drive(service)`` on a fresh service; flush, then return the
+    results in sequence order and every source's verdict."""
+    with StreamingService(classifier, backend=backend, **kwargs) as service:
+        drive(service)
+        service.flush()
+        results = sorted(service.collect(), key=lambda result: result.sequence)
+        verdicts = {source: service.verdict(source) for source in service.sources}
+    return results, verdicts
+
+
+def _assert_backends_agree(classifier, drive, expected_frames, **kwargs):
+    threads = _run_backend(classifier, "threads", drive, **kwargs)
+    processes = _run_backend(classifier, "processes", drive, **kwargs)
+    assert len(processes[0]) == expected_frames
+    # Dataclass equality compares every field, floats bit for bit.
+    assert processes == threads
+    return processes
+
+
+def _count_ring_records(service, shard_index=0):
+    """Record the kind byte of every record the parent puts on one ring."""
+    ring = service._shards[shard_index].ring
+    kinds = []
+    put = ring.put
+
+    def counting_put(record, *args, **kwargs):
+        kinds.append(record[0])
+        return put(record, *args, **kwargs)
+
+    ring.put = counting_put
+    return kinds
+
+
+class TestProcessBackendTrains:
+    """Codeword frames cross the ring in trains cut at the engine's own
+    batch boundaries; everything the service returns stays bitwise equal
+    to the thread backend."""
+
+    SOURCES = [station_mac(index) for index in range(5)]
+
+    @pytest.mark.parametrize("batch_size", [8, 64])
+    @pytest.mark.parametrize("max_latency_frames", [None, 1, 4])
+    def test_parity_with_threads(
+        self, trained_classifier, test_samples, batch_size, max_latency_frames
+    ):
+        codewords = _quantize(test_samples[:24]) * 3
+
+        def drive(service):
+            for index, quantized in enumerate(codewords):
+                service.submit(quantized, source=self.SOURCES[index % 5])
+
+        _assert_backends_agree(
+            trained_classifier,
+            drive,
+            len(codewords),
+            num_workers=2,
+            batch_size=batch_size,
+            max_latency_frames=max_latency_frames,
+        )
+
+    def test_codewords_mixed_with_frame_and_vtilde_records(
+        self, trained_classifier, test_samples
+    ):
+        samples = test_samples[:24]
+        codewords = _quantize(samples)
+
+        def drive(service):
+            for index, (sample, quantized) in enumerate(zip(samples, codewords)):
+                source = self.SOURCES[index % 5]
+                if index % 5 == 3:
+                    service.submit(_frame(quantized, source, float(index)))
+                elif index % 7 == 6:
+                    service.submit(sample, source=source)
+                else:
+                    service.submit(quantized, source=source)
+
+        _assert_backends_agree(
+            trained_classifier, drive, len(samples), num_workers=1, batch_size=4
+        )
+
+    def test_flush_and_swap_in_the_middle_of_a_train(
+        self, trained_classifier, test_samples
+    ):
+        codewords = _quantize(test_samples[:24])
+
+        def drive(service):
+            for index, quantized in enumerate(codewords[:5]):
+                service.submit(quantized, source=self.SOURCES[index % 5])
+            service.flush()
+            assert len(service.collect()) == 5
+            for index, quantized in enumerate(codewords[5:11]):
+                service.submit(quantized, source=self.SOURCES[index % 5])
+            service.swap_model(trained_classifier)
+            for index, quantized in enumerate(codewords[11:]):
+                service.submit(quantized, source=self.SOURCES[index % 5])
+
+        results, _ = _run_backend(
+            trained_classifier, "processes", drive, num_workers=1, batch_size=8
+        )
+        # Frames 5..10 sat in a train when the swap came; the swap record
+        # ships them first, so the old weights classify them.
+        assert [result.model_version for result in results] == [0] * 6 + [1] * 13
+        _assert_backends_agree(
+            trained_classifier, drive, 19, num_workers=1, batch_size=8
+        )
+
+    def test_config_change_in_the_middle_of_a_train(
+        self, trained_classifier, test_samples
+    ):
+        samples = test_samples[:24]
+        high = _quantize(samples)
+        low = _quantize(samples, QuantizationConfig(b_phi=7, b_psi=5))
+
+        def drive(service):
+            # Blocks of three frames alternate between the two codebooks.
+            for index in range(len(samples)):
+                quantized = (high if (index // 3) % 2 == 0 else low)[index]
+                service.submit(quantized, source=self.SOURCES[index % 5])
+
+        _assert_backends_agree(
+            trained_classifier, drive, len(samples), num_workers=1, batch_size=8
+        )
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=8, backend="processes"
+        ) as service:
+            kinds = _count_ring_records(service)
+            drive(service)
+            service.flush()
+        # A train is cut at every codebook change (frames 3, 6, 9, ...) and
+        # at every batch boundary (frames 8, 16, 24), whichever comes first:
+        # [0-2] [3-5] [6-7] [8] [9-11] [12-14] [15] [16-17] [18-20] [21-23].
+        assert kinds.count(RECORD_CODEWORDS) == 10
+
+    @pytest.mark.parametrize(
+        "batch_size, max_latency_frames, threshold",
+        [(8, None, 8), (64, 4, 4), (3, 16, 3)],
+    )
+    def test_one_ring_record_per_engine_batch(
+        self, trained_classifier, test_samples, batch_size, max_latency_frames, threshold
+    ):
+        codewords = _quantize(test_samples[:29])
+        with StreamingService(
+            trained_classifier,
+            num_workers=1,
+            batch_size=batch_size,
+            max_latency_frames=max_latency_frames,
+            backend="processes",
+        ) as service:
+            kinds = _count_ring_records(service)
+            for index, quantized in enumerate(codewords):
+                service.submit(quantized, source=self.SOURCES[index % 5])
+            assert kinds.count(RECORD_CODEWORDS) == len(codewords) // threshold
+            service.flush()
+            assert kinds.count(RECORD_CODEWORDS) == -(-len(codewords) // threshold)
+            assert len(service.collect()) == len(codewords)
+
+    def test_train_larger_than_the_ring_is_split(self, trained_classifier, test_samples):
+        codewords = _quantize(test_samples[:16])
+        with StreamingService(
+            trained_classifier,
+            num_workers=1,
+            batch_size=16,
+            queue_depth=2,
+            slot_bytes=4096,  # about one (234, 3, 2) codeword frame per slot
+            backend="processes",
+        ) as service:
+            results = service.drain(codewords, source=self.SOURCES[0])
+        assert len(results) == len(codewords)
+
+    def test_concurrent_producers_lose_no_codeword_frame(
+        self, trained_classifier, test_samples
+    ):
+        """More producer threads than cores share each shard's train."""
+        import sys
+        import threading
+
+        from repro.analysis.runtime import validate_guarded
+
+        codewords = _quantize(test_samples[:24])
+        producers, per_producer = 6, 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StreamingService(
+                trained_classifier, num_workers=2, batch_size=8, backend="processes"
+            ) as service:
+                # The train and the engine-pending count are declared
+                # guarded-by the shard lock; check every access holds it.
+                monitors = [validate_guarded(shard) for shard in service._shards]
+
+                def produce(producer):
+                    for index in range(per_producer):
+                        position = producer * per_producer + index
+                        service.submit(
+                            codewords[position % len(codewords)],
+                            source=self.SOURCES[position % 5],
+                        )
+
+                threads = [
+                    threading.Thread(target=produce, args=(producer,))
+                    for producer in range(producers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                service.flush()
+                results = service.collect()
+                for monitor in monitors:
+                    monitor.assert_clean()
+                    monitor.restore()
+        finally:
+            sys.setswitchinterval(interval)
+        sequences = sorted(result.sequence for result in results)
+        assert sequences == list(range(producers * per_producer))
+
+    def test_untransportable_codewords_fail_their_own_submit(
+        self, trained_classifier, test_samples
+    ):
+        codewords = _quantize(test_samples[:3])
+        wide = dataclasses.replace(
+            codewords[0], config=QuantizationConfig(b_phi=300, b_psi=7, strict=False)
+        )
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=8, backend="processes"
+        ) as service:
+            for quantized in codewords:
+                service.submit(quantized, source=self.SOURCES[0])
+            with pytest.raises(TransportError, match="subheader"):
+                service.submit(wide, source=self.SOURCES[1])
+            service.flush()
+            # The frames already in the train are still delivered.
+            assert len(service.collect()) == len(codewords)
+
+    @pytest.mark.parametrize(
+        "source, match",
+        [
+            ("x" * 70_000, "does not fit the record"),
+            ("x" * 6_000, "does not fit the 8192-byte ring"),
+        ],
+        ids=["longer-than-entry-table", "longer-than-ring"],
+    )
+    def test_unshippable_source_fails_its_own_submit(
+        self, trained_classifier, test_samples, source, match
+    ):
+        codewords = _quantize(test_samples[:3])
+        with StreamingService(
+            trained_classifier,
+            num_workers=1,
+            batch_size=8,
+            queue_depth=2,
+            slot_bytes=4096,  # two (234, 3, 2) codeword frames per train
+            backend="processes",
+        ) as service:
+            kinds = _count_ring_records(service)
+            for quantized in codewords:
+                service.submit(quantized, source=self.SOURCES[0])
+            assert kinds.count(RECORD_CODEWORDS) == 1  # frames 0-1; 2 waits
+            with pytest.raises(TransportError, match=match):
+                service.submit(codewords[0], source=source)
+            service.flush()
+            results = service.collect()
+        # The frames on the ring and in the train are still delivered.
+        assert [result.sequence for result in results] == [0, 1, 2]
+        assert kinds.count(RECORD_CODEWORDS) == 2
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize(
+        "settings", [{"batch_size": 0}, {"max_latency_frames": 0}]
+    )
+    def test_non_positive_batch_settings_rejected(
+        self, trained_classifier, backend, settings
+    ):
+        with pytest.raises(ServiceError, match="must be >= 1"):
+            StreamingService(
+                trained_classifier, num_workers=1, backend=backend, **settings
+            )
+
+    @staticmethod
+    def _poisoned(test_samples):
+        """Codewords the worker's decoder rejects (phi outside the codebook)."""
+        bad = _quantize(test_samples[:1])[0]
+        bad.q_phi[0, 0] = 9999
+        return bad
+
+    def test_worker_failure_surfaces_on_next_collect(
+        self, trained_classifier, test_samples
+    ):
+        codewords = _quantize(test_samples[:7])
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=8, backend="processes"
+        ) as service:
+            service.submit(self._poisoned(test_samples), source="rogue")
+            for quantized in codewords:  # completes the train: it ships
+                service.submit(quantized, source=self.SOURCES[0])
+            with pytest.raises(ServiceError, match="TransportError"):
+                for _ in range(500):
+                    service.collect()
+                    time.sleep(0.01)
+            with pytest.raises(ServiceError):
+                service.flush()
+
+    def test_worker_failure_surfaces_on_next_flush(
+        self, trained_classifier, test_samples
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=8, backend="processes"
+        ) as service:
+            service.submit(self._poisoned(test_samples), source="rogue")
+            with pytest.raises(ServiceError, match="TransportError"):
+                service.flush()
+            with pytest.raises(ServiceError):
+                service.collect()
 
 
 class TestServiceStats:
